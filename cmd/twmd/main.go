@@ -25,10 +25,11 @@
 // warehouse (internal/warehouse) next to the journals: every settled
 // job's cell results are indexed under their grid dimensions, and
 // GET /campaigns/query serves dimension- and job-range-filtered reads
-// from the index without replaying a single WAL. The index is a
-// disposable view — startup reconciles it against the journal set and
-// rebuilds it from the WALs whenever it cannot be trusted; -warehouse=false
-// turns the whole subsystem off.
+// from the index without replaying a single WAL. The index lives in
+// memory and is saved to one snapshot file at shutdown; it is a
+// disposable view — a missing or damaged snapshot opens empty, and
+// startup reconciles the index against the journal set, re-indexing
+// every done job it does not hold exactly.
 //
 // With -cluster the daemon stops simulating locally and becomes the
 // coordinator of a worker fleet: each submitted campaign's cells are
@@ -164,7 +165,6 @@ func main() {
 	clusterMode := fs.Bool("cluster", false, "dispatch campaign cells to twmw workers over /cluster instead of simulating locally")
 	leaseTTL := fs.Duration("lease-ttl", 15*time.Second, "with -cluster, how long a leased cell lives without a worker heartbeat before it requeues")
 	chaosMode := fs.Bool("chaos", false, "with -cluster, expose the /cluster/chaos fault-injection surface (soak harnesses only; never in production)")
-	useWarehouse := fs.Bool("warehouse", true, "with -datadir, maintain the indexed result warehouse behind GET /campaigns/query")
 	addrFile := fs.String("addr-file", "", "write the resolved listen address to this file once serving (lets harnesses use -addr 127.0.0.1:0)")
 	logFormat := fs.String("log-format", obs.LogText, "structured log format: text or json")
 	traceSample := fs.Float64("trace-sample", 1, "tracing head-sample rate in [0,1]; 0 keeps only errored and slow spans")
@@ -195,8 +195,8 @@ func main() {
 		coord = cluster.New(cluster.Options{LeaseTTL: *leaseTTL, Chaos: *chaosMode})
 	}
 	var wh *warehouse.Warehouse
-	if store != nil && *useWarehouse {
-		wh = openWarehouse(*datadir, store, logger)
+	if store != nil {
+		wh = openWarehouse(*datadir, logger)
 	}
 	h := newServerWith(eng, *maxJobs, store, coord, wh, logger)
 	srv := &http.Server{
@@ -253,7 +253,7 @@ func main() {
 	}
 	if wh != nil {
 		if err := wh.Close(); err != nil {
-			logger.Warn("warehouse close failed; next start rebuilds", "err", err)
+			logger.Warn("warehouse snapshot write failed; next start reconciles from the journals", "err", err)
 		}
 	}
 }
@@ -442,8 +442,7 @@ type server struct {
 	// engine locally; nil without -cluster.
 	coord *cluster.Coordinator
 	// wh is the indexed result warehouse behind GET /campaigns/query;
-	// nil when disabled (no -datadir, -warehouse=false, or rebuild
-	// failure).
+	// nil without -datadir or when its snapshot cannot be read.
 	wh *warehouse.Warehouse
 	// slots bounds concurrently running campaigns; a submitted job
 	// stays queued until it acquires a slot.
@@ -1025,12 +1024,8 @@ func (s *server) campaign(w http.ResponseWriter, r *http.Request) {
 		// Drop the evicted job's index entries too, so /campaigns/query
 		// never serves results whose journal is gone.
 		if s.wh != nil {
-			if n, err := s.wh.RemoveJobID(id); err != nil {
+			if _, err := s.wh.RemoveJobID(id); err != nil {
 				s.log.Warn("evict warehouse entries failed; reconcile will repair", "job", id, "err", err)
-			} else if n > 0 {
-				if err := s.wh.Checkpoint(); err != nil {
-					s.log.Warn("warehouse checkpoint failed", "err", err)
-				}
 			}
 		}
 		writeJSON(w, http.StatusOK, st)

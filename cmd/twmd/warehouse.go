@@ -1,51 +1,39 @@
 package main
 
 import (
-	"errors"
 	"log/slog"
 	"net/http"
 	"path/filepath"
 	"strconv"
 
 	"twmarch/internal/campaign"
-	"twmarch/internal/jobstore"
 	"twmarch/internal/warehouse"
 )
 
 // warehouseFile is the index file name inside -datadir.
 const warehouseFile = "warehouse.idx"
 
-// openWarehouse opens (or builds) the result warehouse next to the
-// job journals. A dirty or torn index — a crash mid-ingest, a format
-// change — is rebuilt from the WALs, which stay the source of truth;
-// the index is always a disposable view. Returns nil (and serves 503
-// on the query surface) only when even the rebuild fails.
-func openWarehouse(datadir string, store *jobstore.Store, logger *slog.Logger) *warehouse.Warehouse {
+// openWarehouse opens the result warehouse next to the job journals.
+// A missing, torn or outdated snapshot opens as an empty index, which
+// the startup reconcile fills from the WALs, the source of truth.
+// Returns nil (and the query surface answers 503) only when the
+// snapshot file cannot be read at all.
+func openWarehouse(datadir string, logger *slog.Logger) *warehouse.Warehouse {
 	path := filepath.Join(datadir, warehouseFile)
 	wh, err := warehouse.Open(path, warehouse.Options{})
-	if err == nil {
-		return wh
-	}
-	if !errors.Is(err, warehouse.ErrNeedsRebuild) {
-		logger.Error("open warehouse failed", "path", path, "err", err)
-		return nil
-	}
-	logger.Warn("warehouse index not trustworthy, rebuilding from WALs", "path", path, "err", err)
-	wh, err = warehouse.RebuildFromWAL(path, warehouse.Options{}, store)
 	if err != nil {
-		logger.Error("warehouse rebuild failed, queries disabled", "path", path, "err", err)
+		logger.Error("open warehouse failed, queries disabled", "path", path, "err", err)
 		return nil
 	}
-	logger.Info("warehouse rebuilt", "path", path, "jobs", wh.NumJobs())
 	return wh
 }
 
 // reconcileWarehouse audits the index against the journal set and
-// logs what it repaired — the startup step that catches drift from a
-// crash between a WAL write and its index insert (or an evict that
-// died between removing the journal and the index entries). Runs
-// before any recovered job resumes, so repairs never race live
-// ingest.
+// logs what it repaired — the startup step that fills an index whose
+// snapshot was missing or stale, and catches drift from a crash
+// between a WAL write and its index insert (or an evict that died
+// between removing the journal and the index entries). Runs before
+// any recovered job resumes, so repairs never race live ingest.
 func (s *server) reconcileWarehouse() {
 	if s.wh == nil || s.store == nil {
 		return
@@ -55,25 +43,14 @@ func (s *server) reconcileWarehouse() {
 		s.log.Error("warehouse reconcile failed", "err", err)
 		return
 	}
-	for _, id := range stats.Removed {
-		s.log.Warn("warehouse drift: dropped index entries without a done journal", "job", id)
-	}
-	for _, id := range stats.Repaired {
-		s.log.Warn("warehouse drift: re-indexed job from its journal", "job", id)
-	}
-	if len(stats.Removed) > 0 || len(stats.Repaired) > 0 {
-		if err := s.wh.Checkpoint(); err != nil {
-			s.log.Warn("warehouse checkpoint failed", "err", err)
-		}
-	}
+	s.log.Info("warehouse reconciled", "jobs", s.wh.NumJobs(),
+		"repaired", len(stats.Repaired), "removed", len(stats.Removed))
 }
 
 // indexSettled folds a job's terminal state into the warehouse: a
 // done job's full result set backfills (covering recovery-seeded
 // cells that never streamed through the ingest sink), any other
-// terminal state drops the job's entries. Each settle checkpoints, so
-// the index never trails the journal set by more than the job being
-// settled.
+// terminal state drops the job's entries.
 func (j *job) indexSettled(state string, agg *campaign.Aggregate) {
 	if j.wh == nil {
 		return
@@ -86,10 +63,6 @@ func (j *job) indexSettled(state string, agg *campaign.Aggregate) {
 	}
 	if err != nil {
 		j.logger().Warn("warehouse index update failed; reconcile will repair", "err", err)
-		return
-	}
-	if err := j.wh.Checkpoint(); err != nil {
-		j.logger().Warn("warehouse checkpoint failed", "err", err)
 	}
 }
 
@@ -133,15 +106,15 @@ func parseJobParam(v string) (uint64, bool) {
 
 // query serves GET /campaigns/query: dimension- and job-range-
 // filtered reads over the warehouse index. The handler never touches
-// a WAL — every page is index pages only — so its latency is
-// independent of how many cells the matching jobs journaled.
+// a WAL, so its latency is independent of how many cells the matching
+// jobs journaled.
 func (s *server) query(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeErr(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
 		return
 	}
 	if s.wh == nil {
-		writeErr(w, http.StatusServiceUnavailable, "result warehouse disabled (start with -datadir, without -warehouse=false)")
+		writeErr(w, http.StatusServiceUnavailable, "result warehouse disabled (start with -datadir)")
 		return
 	}
 	p := r.URL.Query()

@@ -181,9 +181,16 @@ func TestWarehouseRestartReconcile(t *testing.T) {
 	waitState(t, ts1, id2, StateDone)
 	cells := smallSpec().CellCount()
 
+	// Settling indexes in memory only; the snapshot is written at close.
+	if _, err := os.Stat(filepath.Join(dir, warehouseFile)); !os.IsNotExist(err) {
+		t.Fatalf("settle wrote the warehouse snapshot: %v", err)
+	}
 	ts1.Close()
 	if err := s1.wh.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, warehouseFile)); err != nil {
+		t.Fatalf("close wrote no warehouse snapshot: %v", err)
 	}
 
 	// Sabotage both directions: the index file disappears entirely, and

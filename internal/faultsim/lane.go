@@ -225,12 +225,12 @@ type laneArena struct {
 	valRow, oldRow, rawRow [word.MaxWidth]uint64
 }
 
-func newLaneArena(r *Reference) *laneArena {
-	n := r.words * r.width
+func newLaneArena(words, width int, mode DetectMode) *laneArena {
+	n := words * width
 	// One backing array for the six plane-shaped buffers plus the
 	// three per-word masks: arenas are built per pool miss, so the
 	// allocation count matters more than locality here.
-	back := make([]uint64, 6*n+3*r.words)
+	back := make([]uint64, 6*n+3*words)
 	ar := &laneArena{
 		planes:     back[0*n : 1*n : 1*n],
 		snap:       back[1*n : 2*n : 2*n],
@@ -238,17 +238,17 @@ func newLaneArena(r *Reference) *laneArena {
 		stuck1:     back[3*n : 4*n : 4*n],
 		failRise:   back[4*n : 5*n : 5*n],
 		failFall:   back[5*n : 6*n : 6*n],
-		redirect:   back[6*n : 6*n+r.words : 6*n+r.words],
-		writeLanes: back[6*n+r.words : 6*n+2*r.words : 6*n+2*r.words],
-		readLanes:  back[6*n+2*r.words:],
-		masked:     make([]bool, r.words),
-		writeHooks: make([][]laneHook, r.words),
-		readHooks:  make([][]laneHook, r.words),
-		scratch:    memory.MustNew(r.words, r.width),
+		redirect:   back[6*n : 6*n+words : 6*n+words],
+		writeLanes: back[6*n+words : 6*n+2*words : 6*n+2*words],
+		readLanes:  back[6*n+2*words:],
+		masked:     make([]bool, words),
+		writeHooks: make([][]laneHook, words),
+		readHooks:  make([][]laneHook, words),
+		scratch:    memory.MustNew(words, width),
 	}
-	if r.mode == Signature {
-		ar.misr = make([]uint64, r.width)
-		ar.sigA = make([]uint64, r.width)
+	if mode == Signature {
+		ar.misr = make([]uint64, width)
+		ar.sigA = make([]uint64, width)
 	}
 	return ar
 }
@@ -890,8 +890,8 @@ func (r *Reference) DetectLane(fs []faults.Fault) (uint64, error) {
 	if len(fs) > LaneWidth {
 		return 0, fmt.Errorf("faultsim: lane capacity is %d faults, got %d", LaneWidth, len(fs))
 	}
-	ar := r.lanePool.Get().(*laneArena)
-	defer r.lanePool.Put(ar)
+	ar := r.pools.lane.Get().(*laneArena)
+	defer r.pools.lane.Put(ar)
 	ar.reset(r)
 	for i, f := range fs {
 		switch ar.pack(r, f, uint64(1)<<uint(i)) {

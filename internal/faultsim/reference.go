@@ -115,8 +115,17 @@ type Reference struct {
 	lanePredSched []laneOp
 	polyBits      []int
 
-	pool     sync.Pool
-	lanePool sync.Pool
+	// pools lives apart from the Reference, and its New functions
+	// capture only the arena shape: the runtime keeps every pool used
+	// since the last collection reachable through the next one, and
+	// an embedded pool would pin the whole reference (its schedules
+	// and feed streams) along with it.
+	pools *arenaPools
+}
+
+// arenaPools holds a Reference's scalar and lane arenas.
+type arenaPools struct {
+	scalar, lane sync.Pool
 }
 
 // NewReference precomputes the fault-free reference for the campaign
@@ -177,17 +186,19 @@ func NewReference(c Campaign) (*Reference, error) {
 		return nil, fmt.Errorf("faultsim: unknown mode %v", c.Mode)
 	}
 	r.laneSched = compileLaneOps(r.sched, c.Width)
-	r.pool.New = func() any {
+	words, width, mode := r.words, r.width, r.mode
+	r.pools = &arenaPools{}
+	r.pools.scalar.New = func() any {
 		a := &arena{
-			mem:  memory.MustNew(r.words, r.width),
-			snap: make([]word.Word, r.words),
+			mem:  memory.MustNew(words, width),
+			snap: make([]word.Word, words),
 		}
-		if r.mode == Signature {
-			a.reg = misr.MustNew(r.width)
+		if mode == Signature {
+			a.reg = misr.MustNew(width)
 		}
 		return a
 	}
-	r.lanePool.New = func() any { return newLaneArena(r) }
+	r.pools.lane.New = func() any { return newLaneArena(words, width, mode) }
 	return r, nil
 }
 
@@ -233,8 +244,8 @@ func (r *Reference) faultFreePass(mem *memory.Memory, sched []refOp, predict boo
 // to Detects on the equivalent Campaign; only the cost differs. Safe
 // for concurrent use.
 func (r *Reference) Detects(f faults.Fault) (bool, error) {
-	ar := r.pool.Get().(*arena)
-	defer r.pool.Put(ar)
+	ar := r.pools.scalar.Get().(*arena)
+	defer r.pools.scalar.Put(ar)
 	if err := ar.mem.Restore(r.initial); err != nil {
 		return false, err
 	}

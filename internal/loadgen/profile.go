@@ -75,9 +75,10 @@ var profiles = map[string]Profile{
 	}},
 	// chaos carries the mixed workload; Run layers the fault-injection
 	// controller on top when this profile is selected. The query
-	// session doubles as a soak of the warehouse rebuild path: every
-	// coordinator SIGKILL leaves a dirty index the restart must rebuild
-	// while readers keep hammering it.
+	// session doubles as a soak of the warehouse repair path: every
+	// coordinator SIGKILL skips the shutdown snapshot, so the restart
+	// must reconcile the index from the journals while readers keep
+	// hammering it.
 	"chaos": {Name: "chaos", Plans: []SessionPlan{
 		{Kind: "interactive", Poll: 20 * time.Millisecond, Think: 10 * time.Millisecond},
 		{Kind: "batch", Poll: 100 * time.Millisecond, Think: 50 * time.Millisecond},

@@ -7,13 +7,14 @@ import (
 	"strconv"
 )
 
-// Key is the composite dimension key the warehouse indexes campaign
-// cell results under: the grid dimensions first (march test, word
-// width, memory size, scheme), then the job sequence and the cell
-// index to make the key unique. Encode is order-preserving —
-// bytes.Compare over encoded keys equals Compare over the tuples — so
-// a B+-tree over encoded keys serves dimension-range scans like
-// "test=S5, every width, jobs 9000..10000" as one contiguous walk.
+// Key is the composite dimension key the warehouse orders campaign
+// cell results by: the grid dimensions first (march test, word width,
+// memory size, scheme), then the job sequence and the cell index to
+// make the key unique. Encode is order-preserving — bytes.Compare over
+// encoded keys equals Compare over the tuples — so the postings, kept
+// by encoded tuple prefix, serve dimension-range scans like "test=S5,
+// every width, jobs 9000..10000" in key order, and a page token is
+// the encoded key of the last record a page examined.
 //
 // Mode is deliberately not part of the key: the issue's query shapes
 // filter by grid dimensions and job ranges, and folding mode into the
@@ -142,9 +143,16 @@ func cmpU64(a, b uint64) int {
 	return 0
 }
 
-// priKey is the primary-index key: (job, cell) big-endian, so the
-// primary tree clusters every cell of a job contiguously in job-
-// sequence order.
+// tuplePrefix returns the encoded (Test, Width, Words, Scheme) part of
+// the key. Every key of one tuple starts with it, and the encoding is
+// self-delimiting, so no tuple's prefix is a prefix of another's.
+func (k Key) tuplePrefix() string {
+	b := k.Encode(nil)
+	return string(b[:len(b)-12])
+}
+
+// priKey is the primary plan's page-token key: (job, cell)
+// big-endian.
 func priKey(job uint64, cell uint32) []byte {
 	b := make([]byte, 0, 12)
 	b = binary.BigEndian.AppendUint64(b, job)

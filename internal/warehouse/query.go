@@ -1,10 +1,13 @@
 package warehouse
 
 import (
-	"bytes"
 	"encoding/base64"
 	"encoding/binary"
 	"fmt"
+	"sort"
+	"strings"
+
+	"twmarch/internal/campaign"
 )
 
 // DefaultQueryLimit is the page size a Query gets when it asks for
@@ -16,7 +19,7 @@ const (
 
 // maxScanPerQuery bounds how many index entries one Search call may
 // examine. A highly selective in-scan filter (say Mode over a huge
-// job range) could otherwise walk the whole tree inside one request;
+// job range) could otherwise walk the whole index inside one request;
 // hitting the cap returns a continuation token instead, keeping
 // per-request latency bounded.
 const maxScanPerQuery = 4096
@@ -25,11 +28,12 @@ const maxScanPerQuery = 4096
 // Zero-valued fields match everything: empty strings and zero ints
 // mean "any", MaxJob 0 means "no upper bound".
 //
-// The planner uses the dimension tree when Test is set, narrowing the
-// scan prefix by each further dimension set consecutively in key
-// order (Width, then Words, then Scheme); otherwise it range-scans
-// the primary tree by job sequence. Whatever the plan cannot pin —
-// including Mode, which is never part of a key — is filtered in-scan.
+// The planner uses the dimension postings when Test is set: it walks
+// the (test, width, words, scheme) tuples under the prefix the query
+// pins, skips tuples a further set dimension rules out, and
+// binary-searches the job range inside each. Otherwise it walks the
+// jobs by sequence from MinJob. Mode, which is never part of a key,
+// is filtered per record in both plans.
 type Query struct {
 	// Test, Scheme and Mode filter their dimension exactly; empty
 	// matches any.
@@ -69,31 +73,18 @@ func (q Query) maxJob() uint64 {
 	return q.MaxJob
 }
 
-// matches applies the filters a scan plan could not pin into its key
-// range.
-func (q Query) matches(r Record) bool {
-	if q.Test != "" && r.Dim.Test != q.Test {
-		return false
-	}
-	if q.Width != 0 && r.Dim.Width != q.Width {
-		return false
-	}
-	if q.Words != 0 && r.Dim.Words != q.Words {
-		return false
-	}
-	if q.Scheme != "" && r.Dim.Scheme != q.Scheme {
-		return false
-	}
-	if q.Mode != "" && r.Dim.Mode != q.Mode {
-		return false
-	}
-	return r.Job >= q.MinJob && r.Job <= q.maxJob()
+// matchesTuple applies the Test, Width, Words and Scheme filters.
+func (q Query) matchesTuple(d campaign.Dim) bool {
+	return (q.Test == "" || d.Test == q.Test) &&
+		(q.Width == 0 || d.Width == q.Width) &&
+		(q.Words == 0 || d.Words == q.Words) &&
+		(q.Scheme == "" || d.Scheme == q.Scheme)
 }
 
 // Result is one page of a Search.
 type Result struct {
 	// Records are the matches, in plan order: dimension-key order for
-	// dimension-tree scans, (job, cell) order for primary scans.
+	// the dimension plan, (job, cell) order for the primary plan.
 	Records []Record
 	// NextToken resumes the scan where this page stopped; empty when
 	// the scan is exhausted.
@@ -110,7 +101,7 @@ const (
 	planPrimary = 'p'
 )
 
-// plan returns which tree the query scans.
+// plan returns which structure the query walks.
 func (q Query) plan() byte {
 	if q.Test != "" {
 		return planDim
@@ -118,28 +109,28 @@ func (q Query) plan() byte {
 	return planPrimary
 }
 
-// dimPrefix builds the dimension-tree scan prefix: each dimension set
-// consecutively in key order extends it. Returns the prefix and
-// whether all four key dimensions are pinned (so MinJob can extend
-// the start key too).
-func (q Query) dimPrefix() (prefix []byte, full bool) {
-	prefix = appendEscaped(nil, q.Test)
+// dimPrefix builds the dimension plan's key prefix: each dimension set
+// consecutively in key order extends it.
+func (q Query) dimPrefix() string {
+	prefix := appendEscaped(nil, q.Test)
 	if q.Width == 0 {
-		return prefix, false
+		return string(prefix)
 	}
 	prefix = binary.BigEndian.AppendUint32(prefix, uint32(q.Width))
 	if q.Words == 0 {
-		return prefix, false
+		return string(prefix)
 	}
 	prefix = binary.BigEndian.AppendUint32(prefix, uint32(q.Words))
 	if q.Scheme == "" {
-		return prefix, false
+		return string(prefix)
 	}
-	return appendEscaped(prefix, q.Scheme), true
+	return string(appendEscaped(prefix, q.Scheme))
 }
 
 // encodeToken renders a continuation token: the plan marker plus the
-// last examined key, base64 for URL safety.
+// last examined key, base64 for URL safety. The key is the record's
+// dimension key (Key.Encode) on the dimension plan and its primary
+// key (priKey) on the primary plan.
 func encodeToken(plan byte, lastKey []byte) string {
 	raw := make([]byte, 0, 1+len(lastKey))
 	raw = append(raw, plan)
@@ -147,22 +138,53 @@ func encodeToken(plan byte, lastKey []byte) string {
 	return base64.RawURLEncoding.EncodeToString(raw)
 }
 
-// decodeToken parses a PageToken and checks it belongs to this
-// query's plan.
-func decodeToken(tok string, plan byte) ([]byte, error) {
+// decodeToken parses a PageToken, checks it belongs to this query's
+// plan, and returns the key of the last record examined, which the
+// page resumes strictly after.
+func decodeToken(tok string, plan byte) (Key, error) {
 	raw, err := base64.RawURLEncoding.DecodeString(tok)
 	if err != nil || len(raw) < 1 {
-		return nil, fmt.Errorf("warehouse: malformed page token")
+		return Key{}, fmt.Errorf("warehouse: malformed page token")
 	}
 	if raw[0] != plan {
-		return nil, fmt.Errorf("warehouse: page token does not match this query")
+		return Key{}, fmt.Errorf("warehouse: page token does not match this query")
 	}
-	return raw[1:], nil
+	if plan == planPrimary {
+		if len(raw) != 13 {
+			return Key{}, fmt.Errorf("warehouse: malformed page token")
+		}
+		return Key{Job: binary.BigEndian.Uint64(raw[1:]), Cell: binary.BigEndian.Uint32(raw[9:])}, nil
+	}
+	k, err := DecodeKey(raw[1:])
+	if err != nil {
+		return Key{}, fmt.Errorf("warehouse: malformed page token")
+	}
+	return k, nil
 }
 
-// Search runs one page of the query against the index. It touches
-// only index pages — never the WALs — and bounds its work by the page
-// limit and maxScanPerQuery.
+// page accumulates one Search page.
+type page struct {
+	q     Query
+	limit int
+	res   Result
+	last  Record
+	full  bool
+}
+
+// visit examines one entry of the walk; false ends the page.
+func (p *page) visit(r Record) bool {
+	p.res.Scanned++
+	p.last = r
+	if p.q.matchesTuple(r.Dim) && (p.q.Mode == "" || r.Dim.Mode == p.q.Mode) {
+		p.res.Records = append(p.res.Records, r)
+	}
+	p.full = len(p.res.Records) >= p.limit || p.res.Scanned >= maxScanPerQuery
+	return !p.full
+}
+
+// Search runs one page of the query against the index. It never reads
+// a WAL, walks only the tuples and job range the query selects, and
+// bounds its work by the page limit and maxScanPerQuery.
 func (w *Warehouse) Search(q Query) (Result, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -170,100 +192,87 @@ func (w *Warehouse) Search(q Query) (Result, error) {
 	if q.MinJob > q.maxJob() {
 		return Result{}, nil
 	}
-
 	plan := q.plan()
-	var start, prefix []byte
-	var full bool
-	if plan == planDim {
-		prefix, full = q.dimPrefix()
-		start = prefix
-		if full && q.MinJob > 0 {
-			start = binary.BigEndian.AppendUint64(append([]byte(nil), prefix...), q.MinJob)
-		}
-	} else {
-		start = priKey(q.MinJob, 0)
-	}
+	var after *Key
 	if q.PageToken != "" {
-		after, err := decodeToken(q.PageToken, plan)
+		k, err := decodeToken(q.PageToken, plan)
 		if err != nil {
 			return Result{}, err
 		}
-		// Resume exclusively: one zero byte past the last examined key
-		// is the smallest key strictly greater than it.
-		start = append(after, 0x00)
+		after = &k
 	}
-
-	limit := q.limit()
-	res := Result{}
-	var lastKey []byte
-	more := false
-	scan := func(k, v []byte) bool {
-		rec, job, ok := w.entryRecord(plan, k, v)
-		if !ok {
-			return false // corrupt entry: stop rather than skip silently
-		}
-		if plan == planDim {
-			if !bytes.HasPrefix(k, prefix) {
-				return false // past the dimension prefix: done
-			}
-			if full && job > q.maxJob() {
-				// All key dimensions pinned, so within the prefix keys
-				// sort by job: past the range means done. With a partial
-				// prefix, later keys can rewind to smaller jobs, so only
-				// the in-scan filter applies.
-				return false
-			}
-		} else if job > q.maxJob() {
-			return false
-		}
-		res.Scanned++
-		lastKey = k
-		if q.matches(rec) {
-			res.Records = append(res.Records, rec)
-		}
-		if len(res.Records) >= limit || res.Scanned >= maxScanPerQuery {
-			more = true
-			return false
-		}
-		return true
-	}
+	p := &page{q: q, limit: q.limit()}
 	if plan == planDim {
-		if err := w.dim.scan(start, scan); err != nil {
-			return Result{}, err
-		}
+		w.walkDim(p, after)
 	} else {
-		if err := w.pri.scan(start, scan); err != nil {
-			return Result{}, err
+		w.walkPrimary(p, after)
+	}
+	if p.full {
+		last := priKey(p.last.Job, p.last.Cell)
+		if plan == planDim {
+			last = p.last.Key().Encode(nil)
 		}
+		p.res.NextToken = encodeToken(plan, last)
 	}
-	if more && lastKey != nil {
-		res.NextToken = encodeToken(plan, lastKey)
-	}
-	metQueryResults.Add(float64(len(res.Records)))
-	return res, nil
+	metQueryResults.Add(float64(len(p.res.Records)))
+	return p.res, nil
 }
 
-// entryRecord decodes one scanned index entry into a Record according
-// to the plan's key shape.
-func (w *Warehouse) entryRecord(plan byte, k, v []byte) (Record, uint64, bool) {
-	if plan == planDim {
-		key, err := DecodeKey(k)
-		if err != nil {
-			return Record{}, 0, false
+// walkDim visits, in key order, the entries of every tuple under the
+// query's prefix that its other dimensions admit, within the job range
+// and strictly after the resume key.
+func (w *Warehouse) walkDim(p *page, after *Key) {
+	prefix := p.q.dimPrefix()
+	from, resume := prefix, ""
+	if after != nil {
+		if resume = after.tuplePrefix(); resume > from {
+			from = resume
 		}
-		rec, err := decodeValue(key.Job, key.Cell, v)
-		if err != nil {
-			return Record{}, 0, false
+	}
+	at := sort.Search(len(w.order), func(i int) bool { return w.lists[w.order[i]].prefix >= from })
+	for _, li := range w.order[at:] {
+		l := &w.lists[li]
+		if !strings.HasPrefix(l.prefix, prefix) {
+			return
 		}
-		return rec, key.Job, true
+		if !p.q.matchesTuple(l.dim) {
+			continue
+		}
+		ents := l.ents[searchPosting(l.ents, p.q.MinJob, 0):]
+		if l.prefix == resume {
+			ents = ents[sort.Search(len(ents), func(i int) bool { return ents[i].after(after.Job, after.Cell) }):]
+		}
+		for _, e := range ents {
+			if e.job > p.q.maxJob() || !p.visit(w.record(e)) {
+				break
+			}
+		}
+		if p.full {
+			return
+		}
 	}
-	if len(k) != 12 {
-		return Record{}, 0, false
+}
+
+// walkPrimary visits, in (job, cell) order, every entry within the job
+// range and strictly after the resume key.
+func (w *Warehouse) walkPrimary(p *page, after *Key) {
+	from := p.q.MinJob
+	if after != nil {
+		from = max(from, after.Job)
 	}
-	job := binary.BigEndian.Uint64(k)
-	rec, err := decodeValue(job, binary.BigEndian.Uint32(k[8:]), v)
-	if err != nil {
-		return Record{}, 0, false
+	at := sort.Search(len(w.seqs), func(i int) bool { return w.seqs[i] >= from })
+	for _, seq := range w.seqs[at:] {
+		if seq > p.q.maxJob() {
+			return
+		}
+		ents := w.jobs[seq]
+		if after != nil && seq == after.Job {
+			ents = ents[sort.Search(len(ents), func(i int) bool { return ents[i].cell > after.Cell }):]
+		}
+		for _, e := range ents {
+			if !p.visit(w.record(e)) {
+				return
+			}
+		}
 	}
-	return rec, job, true
 }

@@ -1,24 +1,29 @@
 package warehouse
 
 import (
-	"os"
+	"slices"
 	"sort"
 
 	"twmarch/internal/campaign"
 	"twmarch/internal/jobstore"
 )
 
-// validResults canonicalizes a job's journaled cell results for
-// indexing: errored cells and negative indices are dropped, the rest
-// are sorted by cell index, and duplicate indices (a WAL replayed
-// over a resumed run can journal a cell twice) keep the first
-// occurrence. The output is a pure function of the input set, which
-// is what makes RebuildFromWAL deterministic.
+// indexable reports whether a cell result belongs in the index:
+// errored cells carry no dimensions worth querying.
+func indexable(r campaign.CellResult) bool {
+	return r.Err == "" && r.Index >= 0 && r.Width >= 0 && r.Words >= 0
+}
+
+// validResults canonicalizes a job's journaled cell results: the
+// indexable ones sorted by cell index, and of duplicate indices (a WAL
+// replayed over a resumed run can journal a cell twice) the first
+// occurrence, which is also the one insertion keeps. Reconcile holds
+// the index to exactly this set.
 func validResults(results []campaign.CellResult) []campaign.CellResult {
 	out := make([]campaign.CellResult, 0, len(results))
 	seen := make(map[int]bool, len(results))
 	for _, r := range results {
-		if r.Err != "" || r.Index < 0 || seen[r.Index] {
+		if !indexable(r) || seen[r.Index] {
 			continue
 		}
 		seen[r.Index] = true
@@ -30,9 +35,9 @@ func validResults(results []campaign.CellResult) []campaign.CellResult {
 
 // IndexJob indexes every valid journaled result of one job — the
 // settle-time backfill that covers cells a recovery-seeded run never
-// streamed through a Sink. Re-indexing an already-indexed job is a
-// no-op per cell. Ids that are not twmd-shaped ("c<seq>") are
-// silently not indexable.
+// streamed through a Sink. Cells already indexed keep their record,
+// so re-indexing a job is a no-op. Ids that are not twmd-shaped
+// ("c<seq>") are silently not indexable.
 func (w *Warehouse) IndexJob(id string, results []campaign.CellResult) error {
 	seq, ok := JobSeq(id)
 	if !ok {
@@ -40,77 +45,63 @@ func (w *Warehouse) IndexJob(id string, results []campaign.CellResult) error {
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	for _, r := range validResults(results) {
-		if err := w.insertLocked(seq, r); err != nil {
-			return err
-		}
+	for _, r := range results {
+		w.insertResultLocked(seq, r)
 	}
 	return nil
 }
 
-// RemoveJobID drops a job's index entries by twmd job id — the evict
-// path. Unindexable ids are a no-op.
+// RemoveJobID drops a job's records by twmd job id — the evict path —
+// and returns how many cells it dropped. Unindexable ids are a no-op.
 func (w *Warehouse) RemoveJobID(id string) (int, error) {
 	seq, ok := JobSeq(id)
 	if !ok {
 		return 0, nil
 	}
-	return w.RemoveJob(seq)
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.removeLocked(seq), nil
 }
 
 // Ingester returns a campaign.Sink that indexes each completed cell
 // of the job as it streams out of the engine, so a finished job's
 // results are queryable the moment it settles without a backfill
-// scan. Insert failures count in twm_warehouse_ingest_errors_total;
-// the WALs stay the source of truth, so a dropped insert is repaired
-// by the next reconcile or rebuild rather than failing the run.
+// scan.
 func (w *Warehouse) Ingester(id string) campaign.Sink {
 	seq, ok := JobSeq(id)
 	if !ok {
 		return campaign.SinkFunc(func(campaign.CellResult) {})
 	}
 	return campaign.SinkFunc(func(r campaign.CellResult) {
-		if err := w.InsertResult(seq, r); err != nil {
-			metIngestErrors.Inc()
-		}
+		w.mu.Lock()
+		defer w.mu.Unlock()
+		w.insertResultLocked(seq, r)
 	})
 }
 
 // RebuildFromWAL builds a fresh index at path from the jobstore's
-// journals and returns it opened. The build happens in path+
-// ".rebuild" and atomically renames over path, so a crash mid-rebuild
-// leaves either the old file or none. Only terminally done jobs are
-// indexed, in job-sequence order with cells in index order, and every
-// page is zero-padded before use — two rebuilds of the same store
-// produce byte-identical files.
-func RebuildFromWAL(path string, opts Options, store *jobstore.Store) (*Warehouse, error) {
-	tmp := path + ".rebuild"
-	if err := remove(tmp); err != nil {
-		return nil, err
-	}
-	w, err := Open(tmp, opts)
-	if err != nil {
-		return nil, err
-	}
+// journals, writes its snapshot, and returns it. Only terminally done
+// jobs are indexed, and the snapshot depends on the records alone, so
+// two rebuilds of the same store write byte-identical files.
+func RebuildFromWAL(path string, _ Options, store *jobstore.Store) (*Warehouse, error) {
 	jobs, err := doneJobs(store)
 	if err != nil {
-		w.pg.Close()
 		return nil, err
 	}
+	w := newWarehouse(path)
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	for _, j := range jobs {
-		if err := w.IndexJob(j.ID, j.Done); err != nil {
-			w.pg.Close()
-			return nil, err
+		seq, _ := JobSeq(j.ID)
+		for _, r := range j.Done {
+			w.insertResultLocked(seq, r)
 		}
 	}
-	if err := w.Close(); err != nil {
-		return nil, err
-	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err := w.writeSnapshotLocked(); err != nil {
 		return nil, err
 	}
 	metRebuilds.Inc()
-	return Open(path, opts)
+	return w, nil
 }
 
 // doneJobs loads every terminally done, indexable job from the store,
@@ -156,60 +147,63 @@ type ReconcileStats struct {
 
 // Reconcile audits the index against the jobstore and repairs drift
 // in both directions: indexed jobs without a terminally done WAL are
-// removed, and done WALs whose indexed cell count disagrees are
-// re-indexed. cmd/twmd runs this at startup, after recovery scans the
-// datadir and before resumed runs begin mutating either side.
+// removed, and done WALs whose records the index does not hold
+// exactly are re-indexed from the WAL. It is the one repair path for
+// a snapshot that was missing, discarded, or stale at Open. cmd/twmd
+// runs it at startup, after recovery scans the datadir and before
+// resumed runs begin mutating either side.
 func (w *Warehouse) Reconcile(store *jobstore.Store) (ReconcileStats, error) {
-	indexed, err := w.IndexedJobs()
-	if err != nil {
-		return ReconcileStats{}, err
-	}
 	jobs, err := doneJobs(store)
 	if err != nil {
 		return ReconcileStats{}, err
 	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	var stats ReconcileStats
 	done := make(map[uint64]bool, len(jobs))
 	for _, j := range jobs {
 		seq, _ := JobSeq(j.ID)
 		done[seq] = true
 		want := validResults(j.Done)
-		if indexed[seq] == len(want) && len(want) > 0 {
+		if w.holdsLocked(seq, want) {
 			continue
 		}
-		if len(want) == 0 {
-			// Nothing indexable in the WAL; drop any stale entries.
-			if indexed[seq] != 0 {
-				if _, err := w.RemoveJob(seq); err != nil {
-					return stats, err
-				}
-				stats.Removed = append(stats.Removed, j.ID)
-				metReconcileRemoved.Inc()
-			}
-			continue
+		dropped := w.removeLocked(seq)
+		for _, r := range want {
+			w.insertResultLocked(seq, r)
 		}
-		if indexed[seq] != 0 {
-			if _, err := w.RemoveJob(seq); err != nil {
-				return stats, err
-			}
+		switch {
+		case len(want) > 0:
+			stats.Repaired = append(stats.Repaired, j.ID)
+			metReconcileRepaired.Inc()
+		case dropped > 0:
+			stats.Removed = append(stats.Removed, j.ID)
+			metReconcileRemoved.Inc()
 		}
-		if err := w.IndexJob(j.ID, j.Done); err != nil {
-			return stats, err
-		}
-		stats.Repaired = append(stats.Repaired, j.ID)
-		metReconcileRepaired.Inc()
 	}
-	for seq := range indexed {
-		if done[seq] {
-			continue
+	for _, seq := range slices.Clone(w.seqs) {
+		if !done[seq] {
+			w.removeLocked(seq)
+			stats.Removed = append(stats.Removed, JobID(seq))
+			metReconcileRemoved.Inc()
 		}
-		if _, err := w.RemoveJob(seq); err != nil {
-			return stats, err
-		}
-		stats.Removed = append(stats.Removed, JobID(seq))
-		metReconcileRemoved.Inc()
 	}
 	sort.Strings(stats.Removed)
 	sort.Strings(stats.Repaired)
 	return stats, nil
+}
+
+// holdsLocked reports whether the index holds exactly the job's
+// canonical results.
+func (w *Warehouse) holdsLocked(seq uint64, want []campaign.CellResult) bool {
+	ents := w.jobs[seq]
+	if len(ents) != len(want) {
+		return false
+	}
+	for i, e := range ents {
+		if w.record(e) != recordOf(seq, want[i]) {
+			return false
+		}
+	}
+	return true
 }

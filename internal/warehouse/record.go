@@ -8,9 +8,8 @@ import (
 )
 
 // Record is one indexed campaign cell result: the dimension tuple
-// plus the headline counters a query consumer needs. It is the unit
-// both trees store — the warehouse answers queries entirely from
-// records, never from the WALs.
+// plus the headline counters a query consumer needs. The warehouse
+// answers queries entirely from records, never from the WALs.
 type Record struct {
 	// Job is the numeric job sequence (see JobSeq) and Cell the cell's
 	// grid index within it.
@@ -54,59 +53,54 @@ func readLP(b []byte) (string, []byte, error) {
 	return string(b[sz : sz+int(n)]), b[sz+int(n):], nil
 }
 
-// encodeValue serializes the record's non-key payload. Both trees
-// store the same bytes: the primary tree's key carries only
-// (job, cell), so the value repeats the dimensions to make every
-// entry self-describing.
-func encodeValue(r Record) []byte {
-	out := make([]byte, 0, 48)
-	out = appendLP(out, r.Dim.Test)
-	out = binary.AppendUvarint(out, uint64(r.Dim.Width))
-	out = binary.AppendUvarint(out, uint64(r.Dim.Words))
-	out = appendLP(out, r.Dim.Scheme)
-	out = appendLP(out, r.Dim.Mode)
-	out = binary.AppendUvarint(out, uint64(r.Faults))
-	out = binary.AppendUvarint(out, uint64(r.Detected))
-	out = binary.AppendUvarint(out, uint64(r.TCM))
-	out = binary.AppendUvarint(out, uint64(r.TCP))
-	return out
+// appendValue appends the record's non-key payload: every dimension
+// and counter, so a snapshot entry needs only (job, cell) besides.
+func appendValue(dst []byte, r Record) []byte {
+	dst = appendLP(dst, r.Dim.Test)
+	dst = binary.AppendUvarint(dst, uint64(r.Dim.Width))
+	dst = binary.AppendUvarint(dst, uint64(r.Dim.Words))
+	dst = appendLP(dst, r.Dim.Scheme)
+	dst = appendLP(dst, r.Dim.Mode)
+	for _, n := range [4]int{r.Faults, r.Detected, r.TCM, r.TCP} {
+		dst = binary.AppendUvarint(dst, uint64(n))
+	}
+	return dst
 }
 
-// decodeValue parses an encodeValue payload back into a Record.
-func decodeValue(job uint64, cell uint32, b []byte) (Record, error) {
+// readValue parses one appendValue payload from the front of b and
+// returns the rest.
+func readValue(job uint64, cell uint32, b []byte) (Record, []byte, error) {
 	r := Record{Job: job, Cell: cell}
 	var err error
 	if r.Dim.Test, b, err = readLP(b); err != nil {
-		return Record{}, err
+		return Record{}, nil, err
 	}
-	ints := [2]*int{&r.Dim.Width, &r.Dim.Words}
-	for _, p := range ints {
-		n, sz := binary.Uvarint(b)
-		if sz <= 0 {
-			return Record{}, fmt.Errorf("warehouse: truncated int in record")
-		}
-		*p = int(n)
-		b = b[sz:]
+	if b, err = readInts(b, &r.Dim.Width, &r.Dim.Words); err != nil {
+		return Record{}, nil, err
 	}
 	if r.Dim.Scheme, b, err = readLP(b); err != nil {
-		return Record{}, err
+		return Record{}, nil, err
 	}
 	if r.Dim.Mode, b, err = readLP(b); err != nil {
-		return Record{}, err
+		return Record{}, nil, err
 	}
-	tails := [4]*int{&r.Faults, &r.Detected, &r.TCM, &r.TCP}
-	for _, p := range tails {
+	if b, err = readInts(b, &r.Faults, &r.Detected, &r.TCM, &r.TCP); err != nil {
+		return Record{}, nil, err
+	}
+	return r, b, nil
+}
+
+// readInts decodes one uvarint into each destination in turn.
+func readInts(b []byte, dst ...*int) ([]byte, error) {
+	for _, p := range dst {
 		n, sz := binary.Uvarint(b)
 		if sz <= 0 {
-			return Record{}, fmt.Errorf("warehouse: truncated counter in record")
+			return nil, fmt.Errorf("warehouse: truncated int in record")
 		}
 		*p = int(n)
 		b = b[sz:]
 	}
-	if len(b) != 0 {
-		return Record{}, fmt.Errorf("warehouse: %d trailing bytes in record", len(b))
-	}
-	return r, nil
+	return b, nil
 }
 
 // recordOf builds the Record for one completed cell result.

@@ -1,451 +1,249 @@
 // Package warehouse is the indexed campaign-result warehouse behind
-// cmd/twmd's jobstore: a paged B+-tree index over completed campaign
-// cell results, served through an LRU page cache, so dimension-
-// filtered range queries ("coverage of S5 across all word widths,
-// jobs 9000..10000") are contiguous leaf walks instead of WAL
-// replays.
+// cmd/twmd's jobstore: an in-memory index over completed campaign
+// cell results, so dimension-filtered range queries ("coverage of S5
+// across all word widths, jobs 9000..10000") walk only the matching
+// records instead of replaying WALs.
 //
 // The NDJSON job journals (internal/jobstore) stay the source of
-// truth. The warehouse is a derived, disposable view: every entry is
-// reproducible from the WALs, Rebuild reproduces the whole file
-// deterministically (two rebuilds of the same store are
-// byte-identical), and any doubt about the file's integrity — a
-// crash mid-ingest, a version mismatch — is answered by throwing it
-// away and rebuilding.
+// truth. The index is a derived, disposable view: every record is
+// reproducible from the WALs, RebuildFromWAL builds the whole index
+// from them, and Reconcile repairs any drift between the two.
 //
-// On disk the warehouse is a single file of fixed-size pages:
+// Two structures hold every record:
 //
-//	page 0      meta (magic, page size, tree roots, clean marker)
-//	pages 1..n  B+-tree nodes of two trees —
-//	            the dimension index, keyed by (test, width, words,
-//	            scheme, job, cell) in order-preserving form (Key), and
-//	            the primary index, keyed by (job, cell)
+//	jobs      each job's records in cell order, and the job
+//	          sequences ascending: the primary plan walks these in
+//	          (job, cell) order
+//	postings  for each encoded (test, width, words, scheme) prefix of
+//	          the key codec (Key), that tuple's records sorted by
+//	          (job, cell), and the prefixes ascending: the dimension
+//	          plan walks the prefixes a query pins and binary-searches
+//	          the job range inside each
 //
-// Mutations mark the meta page dirty (synced before the first page
-// changes) and Checkpoint flushes all pages before writing the clean
-// marker back, so Open of a crashed file fails with ErrNeedsRebuild
-// instead of serving a torn tree. In-memory, per-segment bloom
-// filters over the ingested job sequences short-circuit point
-// lookups for absent jobs without touching a page.
+// The index persists as one snapshot file (see snapshot.go), written
+// by Close, Checkpoint and RebuildFromWAL through a temporary file and
+// a rename, and never fsynced. Open treats a missing, torn, foreign or
+// outdated snapshot as an empty index; the startup Reconcile against
+// the WALs is the one repair path.
 package warehouse
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
+	"slices"
+	"sort"
 	"sync"
 
 	"twmarch/internal/campaign"
 )
 
-// metaMagic identifies a warehouse index file (and its format
-// version): rebuilding is the upgrade path, so any mismatch is
-// ErrNeedsRebuild rather than a migration.
-const metaMagic = "TWMWHSE1"
+// Options is accepted by Open and RebuildFromWAL for compatibility;
+// the in-memory index has nothing to tune.
+type Options struct{}
 
-// ErrNeedsRebuild reports an index file that cannot be trusted — a
-// dirty clean-marker after a crash, a foreign or torn file, a format
-// version mismatch. The caller's move is always Rebuild.
-var ErrNeedsRebuild = errors.New("warehouse: index needs rebuild from the jobstore WALs")
-
-// Options tunes a warehouse. The zero value means DefaultPageSize
-// pages and a DefaultCachePages-page cache.
-type Options struct {
-	// PageSize is the on-disk page size in bytes.
-	PageSize int
-	// CachePages caps the LRU page cache, in pages.
-	CachePages int
+// CacheStats is kept for callers that report a page-cache hit rate.
+// The in-memory index has no page cache, so both counters read zero.
+type CacheStats struct {
+	// Hits and Misses count page reads served from cache and from
+	// disk: always zero.
+	Hits   uint64
+	Misses uint64
 }
 
-func (o Options) pageSize() int {
-	if o.PageSize > 0 {
-		return o.PageSize
-	}
-	return DefaultPageSize
+// entry is one indexed cell. It holds no pointers (the dimension tuple
+// is an index into Warehouse.dims), so the index adds nothing to the
+// garbage collector's mark work however many records it holds.
+type entry struct {
+	job  uint64
+	cell uint32
+	dim  uint32
+	// faults, detected, tcm and tcp mirror the Record counters.
+	faults, detected, tcm, tcp int
 }
 
-// Warehouse is one open index file. All methods are safe for
-// concurrent use; tree operations are serialized under one mutex (the
-// pager's cache has its own lock-cheap path for the page reads
-// within).
+// before and after order entries by (job, cell).
+func (e entry) before(job uint64, cell uint32) bool {
+	return e.job < job || e.job == job && e.cell < cell
+}
+
+func (e entry) after(job uint64, cell uint32) bool {
+	return e.job > job || e.job == job && e.cell > cell
+}
+
+// postings is one (test, width, words, scheme) tuple's records.
+type postings struct {
+	// prefix is the tuple's encoded key prefix (Key.Encode up to and
+	// including Scheme).
+	prefix string
+	// dim is the tuple; its Mode is empty.
+	dim  campaign.Dim
+	ents []entry
+}
+
+// Warehouse is the open index. All methods are safe for concurrent
+// use; they serialize on one mutex.
 type Warehouse struct {
 	mu   sync.Mutex
 	path string
-	pg   *Pager
-	dim  *tree
-	pri  *tree
-	segs []*segment
-	jobs int
-	// clean mirrors the on-disk meta marker; the first mutation after
-	// a checkpoint syncs it false before any page can hit disk.
-	clean bool
-	// lastJob caches the most recent job looked up by insert, sparing
-	// one primary probe per cell of a streaming ingest.
-	lastJob      uint64
-	lastJobKnown bool
+	// dims interns each distinct dimension tuple an entry refers to,
+	// and dimList names the postings each one belongs to.
+	dims    []campaign.Dim
+	dimIDs  map[campaign.Dim]uint32
+	dimList []int
+	// jobs holds each job's entries in cell order; seqs lists the
+	// indexed job sequences ascending.
+	jobs map[uint64][]entry
+	seqs []uint64
+	// lists holds the postings, listOf finds them by prefix, and order
+	// lists their indices by ascending prefix.
+	lists  []postings
+	listOf map[string]int
+	order  []int
 }
 
-// maxEntry bounds one leaf entry (header + key + value) so a split
-// always yields two fitting halves.
-func maxEntry(pageSize int) int { return (pageSize - nodeHeader) / 4 }
-
-// Open opens an existing index file, or creates an empty one when the
-// path does not exist (or is empty). A file that exists but cannot be
-// trusted — wrong magic or page size, torn length, or a dirty clean
-// marker left by a crash — fails with an error wrapping
-// ErrNeedsRebuild.
-func Open(path string, opts Options) (*Warehouse, error) {
-	pg, err := openPager(path, opts.pageSize(), opts.CachePages)
-	if err != nil {
-		return nil, err
+func newWarehouse(path string) *Warehouse {
+	return &Warehouse{
+		path:   path,
+		dimIDs: make(map[campaign.Dim]uint32),
+		jobs:   make(map[uint64][]entry),
+		listOf: make(map[string]int),
 	}
-	if pg.NumPages() == 0 {
-		return createLocked(path, pg)
-	}
-	w := &Warehouse{path: path, pg: pg}
-	if err := w.loadMeta(); err != nil {
-		pg.Close()
-		return nil, err
-	}
-	if err := w.loadSegments(); err != nil {
-		pg.Close()
-		return nil, fmt.Errorf("%w: %v", ErrNeedsRebuild, err)
-	}
-	w.publishGauges()
-	return w, nil
 }
 
-// createLocked initializes a fresh file on an empty pager: meta page,
-// then one empty leaf root per tree.
-func createLocked(path string, pg *Pager) (*Warehouse, error) {
-	w := &Warehouse{path: path, pg: pg}
-	if id := pg.Alloc(); id != 0 {
-		pg.Close()
-		return nil, fmt.Errorf("warehouse: meta page allocated as %d", id)
-	}
-	var err error
-	if w.dim, err = newTree(pg); err != nil {
-		pg.Close()
-		return nil, err
-	}
-	if w.pri, err = newTree(pg); err != nil {
-		pg.Close()
-		return nil, err
-	}
-	if err := w.checkpointLocked(); err != nil {
-		pg.Close()
-		return nil, err
-	}
-	w.publishGauges()
-	return w, nil
-}
-
-// metaBuf renders the meta page.
-func (w *Warehouse) metaBuf(clean bool) []byte {
-	buf := make([]byte, w.pg.PageSize())
-	copy(buf, metaMagic)
-	binary.BigEndian.PutUint32(buf[8:], uint32(w.pg.PageSize()))
-	binary.BigEndian.PutUint32(buf[12:], w.dim.root)
-	binary.BigEndian.PutUint32(buf[16:], w.pri.root)
-	binary.BigEndian.PutUint32(buf[20:], w.pg.NumPages())
-	if clean {
-		buf[24] = 1
-	}
-	return buf
-}
-
-// loadMeta validates the meta page and attaches the trees.
-func (w *Warehouse) loadMeta() error {
-	buf, err := w.pg.ReadPage(0)
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrNeedsRebuild, err)
-	}
-	if string(buf[:8]) != metaMagic {
-		return fmt.Errorf("%w: bad magic", ErrNeedsRebuild)
-	}
-	if int(binary.BigEndian.Uint32(buf[8:])) != w.pg.PageSize() {
-		return fmt.Errorf("%w: page size %d, opened with %d",
-			ErrNeedsRebuild, binary.BigEndian.Uint32(buf[8:]), w.pg.PageSize())
-	}
-	dimRoot := binary.BigEndian.Uint32(buf[12:])
-	priRoot := binary.BigEndian.Uint32(buf[16:])
-	npages := binary.BigEndian.Uint32(buf[20:])
-	if buf[24] != 1 {
-		return fmt.Errorf("%w: file was not checkpointed cleanly", ErrNeedsRebuild)
-	}
-	if npages != w.pg.NumPages() || dimRoot == 0 || dimRoot >= npages || priRoot == 0 || priRoot >= npages {
-		return fmt.Errorf("%w: meta references pages outside the file", ErrNeedsRebuild)
-	}
-	w.dim = &tree{pg: w.pg, root: dimRoot}
-	w.pri = &tree{pg: w.pg, root: priRoot}
-	w.clean = true
-	return nil
-}
-
-// loadSegments rebuilds the in-memory bloom segments and job count by
-// walking the primary tree's leaf chain once.
-func (w *Warehouse) loadSegments() error {
-	var last uint64
-	var any bool
-	return w.pri.scan(nil, func(k, v []byte) bool {
-		seq := binary.BigEndian.Uint64(k)
-		if !any || seq != last {
-			w.segs = addJob(w.segs, seq)
-			w.jobs++
-			any, last = true, seq
+// Open loads the snapshot at path. A missing file opens as an empty
+// index, and so does one that is torn, foreign (the paged files of
+// earlier versions included) or of another format version: the index
+// is derived data, and Reconcile restores it from the WALs. Only a
+// file that exists but cannot be read is an error.
+func Open(path string, _ Options) (*Warehouse, error) {
+	w := newWarehouse(path)
+	b, err := os.ReadFile(path)
+	switch {
+	case errors.Is(err, fs.ErrNotExist):
+	case err != nil:
+		return nil, fmt.Errorf("warehouse: %v", err)
+	default:
+		if err := w.loadSnapshot(b); err != nil {
+			w = newWarehouse(path)
+			metRebuilds.Inc()
 		}
-		return true
-	})
+	}
+	metJobs.Set(float64(len(w.seqs)))
+	return w, nil
 }
 
-// publishGauges refreshes the pages/jobs gauges.
-func (w *Warehouse) publishGauges() {
-	metPages.Set(float64(w.pg.NumPages()))
-	metJobs.Set(float64(w.jobs))
-}
-
-// ensureDirtyLocked syncs the meta page's dirty marker to disk before
-// the first mutation after a checkpoint, so a crash mid-write is
-// always detectable at the next Open. Callers hold w.mu.
-func (w *Warehouse) ensureDirtyLocked() error {
-	if !w.clean {
-		return nil
-	}
-	if err := w.pg.WriteNow(0, w.metaBuf(false)); err != nil {
-		return err
-	}
-	w.clean = false
-	return nil
-}
-
-// checkpointLocked flushes dirty pages, then writes the clean meta
-// marker. Callers hold w.mu.
-func (w *Warehouse) checkpointLocked() error {
-	if err := w.pg.Flush(); err != nil {
-		return err
-	}
-	if err := w.pg.WriteNow(0, w.metaBuf(true)); err != nil {
-		return err
-	}
-	w.clean = true
-	metCheckpoints.Inc()
-	w.publishGauges()
-	return nil
-}
-
-// Checkpoint makes every ingested record durable and marks the file
-// clean: dirty pages are flushed and synced before the meta page's
-// clean marker is written back. cmd/twmd checkpoints after each job
-// settles.
+// Checkpoint writes the snapshot. cmd/twmd leaves this to Close; the
+// WALs, not the snapshot, carry every result across a crash.
 func (w *Warehouse) Checkpoint() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.checkpointLocked()
+	return w.writeSnapshotLocked()
 }
 
-// Close checkpoints and releases the file.
-func (w *Warehouse) Close() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if err := w.checkpointLocked(); err != nil {
-		w.pg.Close()
-		return err
-	}
-	return w.pg.Close()
-}
+// Close writes the snapshot. The warehouse holds no open file, so
+// there is nothing else to release.
+func (w *Warehouse) Close() error { return w.Checkpoint() }
 
-// Path returns the index file path.
-func (w *Warehouse) Path() string { return w.path }
-
-// CacheStats returns the page cache counters (also exported as
-// twm_warehouse_pager_* metrics).
-func (w *Warehouse) CacheStats() CacheStats { return w.pg.Stats() }
+// CacheStats returns zero counters: the index has no page cache.
+func (w *Warehouse) CacheStats() CacheStats { return CacheStats{} }
 
 // NumJobs returns the distinct jobs currently indexed.
 func (w *Warehouse) NumJobs() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.jobs
+	return len(w.seqs)
 }
 
-// NumPages returns the allocated page count of the index file.
-func (w *Warehouse) NumPages() uint32 { return w.pg.NumPages() }
-
-// InsertResult indexes one completed cell result under the job
-// sequence. Errored cells are skipped (they carry no dimensions worth
-// querying), and re-inserting an already-indexed (job, cell) is a
-// no-op — journal replay and settle-time backfill are idempotent.
-func (w *Warehouse) InsertResult(job uint64, r campaign.CellResult) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.insertLocked(job, r)
+// record expands an entry into its Record.
+func (w *Warehouse) record(e entry) Record {
+	return Record{Job: e.job, Cell: e.cell, Dim: w.dims[e.dim],
+		Faults: e.faults, Detected: e.detected, TCM: e.tcm, TCP: e.tcp}
 }
 
-func (w *Warehouse) insertLocked(job uint64, r campaign.CellResult) error {
-	if r.Err != "" || r.Index < 0 || r.Width < 0 || r.Words < 0 {
-		return nil
+// dimID interns a dimension tuple, creating its postings on first
+// sight.
+func (w *Warehouse) dimID(d campaign.Dim) uint32 {
+	if id, ok := w.dimIDs[d]; ok {
+		return id
 	}
-	rec := recordOf(job, r)
-	dimKey := rec.Key().Encode(nil)
-	val := encodeValue(rec)
-	if 4+len(dimKey)+len(val) > maxEntry(w.pg.PageSize()) {
-		return fmt.Errorf("warehouse: record for job %d cell %d exceeds the %d-byte entry limit",
-			job, r.Index, maxEntry(w.pg.PageSize()))
+	id := uint32(len(w.dims))
+	w.dims = append(w.dims, d)
+	w.dimIDs[d] = id
+	k := Key{Test: d.Test, Width: uint32(d.Width), Words: uint32(d.Words), Scheme: d.Scheme}
+	prefix := k.tuplePrefix()
+	li, ok := w.listOf[prefix]
+	if !ok {
+		li = len(w.lists)
+		tuple := d
+		tuple.Mode = ""
+		w.lists = append(w.lists, postings{prefix: prefix, dim: tuple})
+		w.listOf[prefix] = li
+		at := sort.Search(len(w.order), func(i int) bool { return w.lists[w.order[i]].prefix > prefix })
+		w.order = slices.Insert(w.order, at, li)
 	}
-	known := w.lastJobKnown && w.lastJob == job
+	w.dimList = append(w.dimList, li)
+	return id
+}
+
+// searchCell finds the position of cell in one job's entries.
+func searchCell(ents []entry, cell uint32) (int, bool) {
+	i := sort.Search(len(ents), func(i int) bool { return ents[i].cell >= cell })
+	return i, i < len(ents) && ents[i].cell == cell
+}
+
+// searchPosting finds the first posting at or after (job, cell).
+func searchPosting(ents []entry, job uint64, cell uint32) int {
+	return sort.Search(len(ents), func(i int) bool { return !ents[i].before(job, cell) })
+}
+
+// insertLocked indexes one record. A (job, cell) already indexed
+// keeps its first record, so stream ingest, settle backfill and
+// journal replay are idempotent. Callers hold w.mu.
+func (w *Warehouse) insertLocked(r Record) {
+	ents, known := w.jobs[r.Job]
+	i, found := searchCell(ents, r.Cell)
+	if found {
+		return
+	}
+	e := entry{job: r.Job, cell: r.Cell, dim: w.dimID(r.Dim),
+		faults: r.Faults, detected: r.Detected, tcm: r.TCM, tcp: r.TCP}
+	w.jobs[r.Job] = slices.Insert(ents, i, e)
 	if !known {
-		var err error
-		if known, err = w.hasJobLocked(job); err != nil {
-			return err
-		}
+		at, _ := slices.BinarySearch(w.seqs, r.Job)
+		w.seqs = slices.Insert(w.seqs, at, r.Job)
+		metJobs.Set(float64(len(w.seqs)))
 	}
-	if err := w.ensureDirtyLocked(); err != nil {
-		return err
-	}
-	added, err := w.pri.insert(priKey(job, rec.Cell), val)
-	if err != nil {
-		return err
-	}
-	if !added {
-		return nil
-	}
-	if _, err := w.dim.insert(dimKey, val); err != nil {
-		return err
-	}
+	l := &w.lists[w.dimList[e.dim]]
+	l.ents = slices.Insert(l.ents, searchPosting(l.ents, e.job, e.cell), e)
 	metInserts.Inc()
-	if !known {
-		w.segs = addJob(w.segs, job)
-		w.jobs++
-		metJobs.Set(float64(w.jobs))
-	}
-	w.lastJob, w.lastJobKnown = job, true
-	return nil
 }
 
-// hasJobLocked reports whether any cell of the job is indexed,
-// consulting the segment blooms before touching a page.
-func (w *Warehouse) hasJobLocked(job uint64) (bool, error) {
-	if !mightContainJob(w.segs, job) {
-		metBloomSkips.Inc()
-		return false, nil
+// insertResultLocked indexes one completed cell result of the job,
+// if it is indexable.
+func (w *Warehouse) insertResultLocked(job uint64, r campaign.CellResult) {
+	if indexable(r) {
+		w.insertLocked(recordOf(job, r))
 	}
-	found := false
-	err := w.pri.scan(priKey(job, 0), func(k, v []byte) bool {
-		found = len(k) >= 8 && binary.BigEndian.Uint64(k) == job
-		return false
-	})
-	return found, err
 }
 
-// HasJob reports whether the job has any indexed cells.
-func (w *Warehouse) HasJob(job uint64) (bool, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.hasJobLocked(job)
-}
-
-// jobEntriesLocked collects the primary entries of one job.
-func (w *Warehouse) jobEntriesLocked(job uint64) (cells []uint32, vals [][]byte, err error) {
-	err = w.pri.scan(priKey(job, 0), func(k, v []byte) bool {
-		if len(k) < 12 || binary.BigEndian.Uint64(k) != job {
-			return false
-		}
-		cells = append(cells, binary.BigEndian.Uint32(k[8:]))
-		vals = append(vals, v)
-		return true
-	})
-	return cells, vals, err
-}
-
-// RemoveJob deletes every index entry of the job — the eviction path
-// — and returns how many cells were dropped. The blooms are left
-// untouched (a stale positive only costs one tree probe).
-func (w *Warehouse) RemoveJob(job uint64) (int, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.removeJobLocked(job)
-}
-
-func (w *Warehouse) removeJobLocked(job uint64) (int, error) {
-	if !mightContainJob(w.segs, job) {
-		metBloomSkips.Inc()
-		return 0, nil
+// removeLocked drops every record of the job and returns how many
+// there were. Callers hold w.mu.
+func (w *Warehouse) removeLocked(job uint64) int {
+	ents, ok := w.jobs[job]
+	if !ok {
+		return 0
 	}
-	cells, vals, err := w.jobEntriesLocked(job)
-	if err != nil {
-		return 0, err
+	for _, e := range ents {
+		l := &w.lists[w.dimList[e.dim]]
+		i := searchPosting(l.ents, e.job, e.cell)
+		l.ents = slices.Delete(l.ents, i, i+1)
 	}
-	if len(cells) == 0 {
-		return 0, nil
-	}
-	if err := w.ensureDirtyLocked(); err != nil {
-		return 0, err
-	}
-	for i, cell := range cells {
-		rec, err := decodeValue(job, cell, vals[i])
-		if err != nil {
-			return i, fmt.Errorf("warehouse: job %d cell %d: %v", job, cell, err)
-		}
-		if _, err := w.dim.delete(rec.Key().Encode(nil)); err != nil {
-			return i, err
-		}
-		if _, err := w.pri.delete(priKey(job, cell)); err != nil {
-			return i, err
-		}
-		metDeletes.Inc()
-	}
-	w.jobs--
-	metJobs.Set(float64(w.jobs))
-	if w.lastJobKnown && w.lastJob == job {
-		w.lastJobKnown = false
-	}
-	return len(cells), nil
-}
-
-// JobRecords returns the indexed records of one job in cell order —
-// the reconcile path's view of what the index believes about a job.
-func (w *Warehouse) JobRecords(job uint64) ([]Record, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	cells, vals, err := w.jobEntriesLocked(job)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Record, 0, len(cells))
-	for i, cell := range cells {
-		rec, err := decodeValue(job, cell, vals[i])
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, rec)
-	}
-	return out, nil
-}
-
-// IndexedJobs walks the primary tree once and returns the cell count
-// per indexed job sequence.
-func (w *Warehouse) IndexedJobs() (map[uint64]int, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	out := make(map[uint64]int, w.jobs)
-	err := w.pri.scan(nil, func(k, v []byte) bool {
-		if len(k) >= 8 {
-			out[binary.BigEndian.Uint64(k)]++
-		}
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// remove deletes the index file from disk — used when a rebuild must
-// start from nothing.
-func remove(path string) error {
-	if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("warehouse: %v", err)
-	}
-	return nil
+	delete(w.jobs, job)
+	at, _ := slices.BinarySearch(w.seqs, job)
+	w.seqs = slices.Delete(w.seqs, at, at+1)
+	metDeletes.Add(float64(len(ents)))
+	metJobs.Set(float64(len(w.seqs)))
+	return len(ents)
 }

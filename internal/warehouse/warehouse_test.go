@@ -2,7 +2,6 @@ package warehouse
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -45,10 +44,10 @@ func gridResults() []campaign.CellResult {
 	return out
 }
 
-// openTest opens a small warehouse in a temp dir.
+// openTest opens an empty warehouse in a temp dir.
 func openTest(t *testing.T) *Warehouse {
 	t.Helper()
-	w, err := Open(filepath.Join(t.TempDir(), "warehouse.idx"), Options{PageSize: 512, CachePages: 16})
+	w, err := Open(filepath.Join(t.TempDir(), "warehouse.idx"), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,15 +55,19 @@ func openTest(t *testing.T) *Warehouse {
 	return w
 }
 
-func TestWarehouseInsertSearch(t *testing.T) {
-	w := openTest(t)
-	for job := uint64(1); job <= 20; job++ {
-		for _, r := range gridResults() {
-			if err := w.InsertResult(job, r); err != nil {
-				t.Fatal(err)
-			}
+// indexJobs indexes gridResults() under jobs 1..n.
+func indexJobs(t *testing.T, w *Warehouse, n int) {
+	t.Helper()
+	for job := uint64(1); job <= uint64(n); job++ {
+		if err := w.IndexJob(JobID(job), gridResults()); err != nil {
+			t.Fatal(err)
 		}
 	}
+}
+
+func TestWarehouseInsertSearch(t *testing.T) {
+	w := openTest(t)
+	indexJobs(t, w, 20)
 	if got := w.NumJobs(); got != 20 {
 		t.Fatalf("NumJobs = %d, want 20", got)
 	}
@@ -117,21 +120,16 @@ func TestWarehouseInsertSearch(t *testing.T) {
 		t.Fatalf("mode filter matched %d records, want 0", len(res.Records))
 	}
 
-	// Absent job short-circuits via the blooms.
-	if ok, err := w.HasJob(999); err != nil || ok {
-		t.Fatalf("HasJob(999) = %v, %v", ok, err)
+	// An absent job range answers empty without scanning.
+	res, err = w.Search(Query{MinJob: 999})
+	if err != nil || len(res.Records) != 0 || res.Scanned != 0 {
+		t.Fatalf("absent job: %d records, %d scanned, err %v", len(res.Records), res.Scanned, err)
 	}
 }
 
 func TestWarehousePaging(t *testing.T) {
 	w := openTest(t)
-	for job := uint64(1); job <= 30; job++ {
-		for _, r := range gridResults() {
-			if err := w.InsertResult(job, r); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
+	indexJobs(t, w, 30)
 	total := 30 * len(gridResults())
 	var got []Record
 	q := Query{Limit: 37}
@@ -171,23 +169,38 @@ func TestWarehousePaging(t *testing.T) {
 	if _, err := w.Search(Query{Test: "S5", PageToken: res.NextToken}); err == nil {
 		t.Fatal("cross-plan token accepted")
 	}
+
+	// A filter nothing matches stops each page at the scan cap and
+	// hands back a token instead of walking the whole index.
+	indexJobs(t, w, 400)
+	q = Query{Mode: "signature"}
+	for n := 0; ; n++ {
+		res, err := w.Search(q)
+		if err != nil || len(res.Records) != 0 || res.Scanned > maxScanPerQuery {
+			t.Fatalf("capped page %d: %d records, %d scanned, err %v", n, len(res.Records), res.Scanned, err)
+		}
+		if res.NextToken == "" {
+			if n == 0 {
+				t.Fatal("no page stopped at the scan cap")
+			}
+			break
+		}
+		if n > 400*len(gridResults())/maxScanPerQuery {
+			t.Fatal("capped paging did not terminate")
+		}
+		q.PageToken = res.NextToken
+	}
 }
 
 func TestWarehouseRemoveJob(t *testing.T) {
 	w := openTest(t)
-	for job := uint64(1); job <= 5; job++ {
-		for _, r := range gridResults() {
-			if err := w.InsertResult(job, r); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	n, err := w.RemoveJob(3)
+	indexJobs(t, w, 5)
+	n, err := w.RemoveJobID(JobID(3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != len(gridResults()) {
-		t.Fatalf("RemoveJob dropped %d cells, want %d", n, len(gridResults()))
+		t.Fatalf("RemoveJobID dropped %d cells, want %d", n, len(gridResults()))
 	}
 	if w.NumJobs() != 4 {
 		t.Fatalf("NumJobs = %d after remove, want 4", w.NumJobs())
@@ -202,10 +215,10 @@ func TestWarehouseRemoveJob(t *testing.T) {
 	}
 	for _, r := range res.Records {
 		if r.Job == 3 {
-			t.Fatal("removed job still in the dimension tree")
+			t.Fatal("removed job still in the dimension postings")
 		}
 	}
-	if n, err := w.RemoveJob(3); err != nil || n != 0 {
+	if n, err := w.RemoveJobID(JobID(3)); err != nil || n != 0 {
 		t.Fatalf("re-remove: %d, %v", n, err)
 	}
 }
@@ -213,21 +226,15 @@ func TestWarehouseRemoveJob(t *testing.T) {
 func TestWarehouseReopen(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "warehouse.idx")
-	w, err := Open(path, Options{PageSize: 512})
+	w, err := Open(path, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for job := uint64(1); job <= 8; job++ {
-		for _, r := range gridResults() {
-			if err := w.InsertResult(job, r); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
+	indexJobs(t, w, 8)
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	w, err = Open(path, Options{PageSize: 512})
+	w, err = Open(path, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,30 +245,6 @@ func TestWarehouseReopen(t *testing.T) {
 	res, err := w.Search(Query{Test: "MATS+", Width: 4, Words: 16, Scheme: "twm"})
 	if err != nil || len(res.Records) != 8 {
 		t.Fatalf("query after reopen: %d records, err %v", len(res.Records), err)
-	}
-}
-
-func TestWarehouseDirtyNeedsRebuild(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "warehouse.idx")
-	w, err := Open(path, Options{PageSize: 512})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.InsertResult(1, testResult(0, "S5", 8, 16, "twm", "compare")); err != nil {
-		t.Fatal(err)
-	}
-	// Abandon without checkpoint: the on-disk meta page still carries
-	// the dirty marker WriteNow synced before the insert.
-	if err := w.pg.f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(path, Options{PageSize: 512}); !errors.Is(err, ErrNeedsRebuild) {
-		t.Fatalf("open of dirty file: %v, want ErrNeedsRebuild", err)
-	}
-	// Wrong page size is also a rebuild.
-	if _, err := Open(path, Options{PageSize: 1024}); !errors.Is(err, ErrNeedsRebuild) {
-		t.Fatalf("open with wrong page size: %v, want ErrNeedsRebuild", err)
 	}
 }
 
@@ -292,7 +275,7 @@ func TestRebuildFromWALDeterministic(t *testing.T) {
 	store := seedStore(t, filepath.Join(dir, "jobs"), 12)
 
 	path1 := filepath.Join(dir, "a.idx")
-	w1, err := RebuildFromWAL(path1, Options{PageSize: 512}, store)
+	w1, err := RebuildFromWAL(path1, Options{}, store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +291,7 @@ func TestRebuildFromWALDeterministic(t *testing.T) {
 	}
 
 	path2 := filepath.Join(dir, "b.idx")
-	w2, err := RebuildFromWAL(path2, Options{PageSize: 512}, store)
+	w2, err := RebuildFromWAL(path2, Options{}, store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,22 +316,31 @@ func TestReconcile(t *testing.T) {
 	dir := t.TempDir()
 	store := seedStore(t, filepath.Join(dir, "jobs"), 6)
 	path := filepath.Join(dir, "warehouse.idx")
-	w, err := RebuildFromWAL(path, Options{PageSize: 512}, store)
+	w, err := RebuildFromWAL(path, Options{}, store)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w.Close()
 
 	// Drift both ways: job 2's WAL disappears (evict raced the index),
-	// job 4 loses cells from the index, job 7 is journaled done but
-	// never indexed.
+	// job 4 loses cells from the index, job 5's records differ from its
+	// WAL, job 7 is journaled done but never indexed.
 	if err := store.Remove(JobID(2)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.RemoveJob(4); err != nil {
+	if _, err := w.RemoveJobID(JobID(4)); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.IndexJob(JobID(4), gridResults()[:3]); err != nil {
+		t.Fatal(err)
+	}
+	// Job 5 keeps its cell count but one record's counters drifted.
+	drifted := gridResults()
+	drifted[7].Detected--
+	if _, err := w.RemoveJobID(JobID(5)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.IndexJob(JobID(5), drifted); err != nil {
 		t.Fatal(err)
 	}
 	j, err := store.Create(JobID(7), campaign.Spec{Name: "t"})
@@ -369,14 +361,14 @@ func TestReconcile(t *testing.T) {
 	if len(stats.Removed) != 1 || stats.Removed[0] != JobID(2) {
 		t.Fatalf("Removed = %v, want [c2]", stats.Removed)
 	}
-	if len(stats.Repaired) != 2 {
-		t.Fatalf("Repaired = %v, want [c4 c7]", stats.Repaired)
+	if fmt.Sprint(stats.Repaired) != "[c4 c5 c7]" {
+		t.Fatalf("Repaired = %v, want [c4 c5 c7]", stats.Repaired)
 	}
 
 	// The index now mirrors the store exactly.
-	indexed, err := w.IndexedJobs()
-	if err != nil {
-		t.Fatal(err)
+	indexed := make(map[uint64]int)
+	for seq, ents := range w.jobs {
+		indexed[seq] = len(ents)
 	}
 	want := map[uint64]int{1: 12, 3: 12, 4: 12, 5: 12, 6: 12, 7: 12}
 	if len(indexed) != len(want) {
@@ -418,46 +410,24 @@ func TestIngesterAndErroredCells(t *testing.T) {
 	}
 }
 
-func TestCacheStatsObservable(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "warehouse.idx")
-	w, err := Open(path, Options{PageSize: 512, CachePages: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for job := uint64(1); job <= 40; job++ {
-		for _, r := range gridResults() {
-			if err := w.InsertResult(job, r); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if _, err := w.Search(Query{Test: "S5"}); err != nil {
-		t.Fatal(err)
-	}
-	s := w.CacheStats()
-	if s.Hits == 0 || s.Misses == 0 || s.Evictions == 0 {
-		t.Fatalf("expected nonzero cache counters under a 4-page cache, got %+v", s)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestRecordValueRoundTrip(t *testing.T) {
 	rec := Record{
 		Job: 42, Cell: 7,
 		Dim:    campaign.Dim{Test: "March C-", Width: 8, Words: 64, Scheme: "twm", Mode: "signature"},
 		Faults: 1234, Detected: 1200, TCM: 14, TCP: 10,
 	}
-	got, err := decodeValue(rec.Job, rec.Cell, encodeValue(rec))
+	got, rest, err := readValue(rec.Job, rec.Cell, append(appendValue(nil, rec), 0xff))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != rec {
 		t.Fatalf("round trip: %+v != %+v", got, rec)
 	}
-	if _, err := decodeValue(1, 1, append(encodeValue(rec), 0xff)); err == nil {
-		t.Fatal("trailing bytes accepted")
+	if !bytes.Equal(rest, []byte{0xff}) {
+		t.Fatalf("rest = %x, want ff", rest)
+	}
+	enc := appendValue(nil, rec)
+	if _, _, err := readValue(1, 1, enc[:len(enc)-1]); err == nil {
+		t.Fatal("truncated value accepted")
 	}
 }

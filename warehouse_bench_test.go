@@ -5,8 +5,8 @@
 // corpusJobs journaled campaigns (built once per test binary, removed
 // by TestMain), so the query/replay pair measures the same question —
 // "every result for one grid cell across the whole job history" —
-// answered by the B+-tree index versus by replaying every WAL the way
-// a store without the index would have to. TestWarehouseQuerySpeedup
+// answered by the in-memory index versus by replaying every WAL the
+// way a store without the index would have to. TestWarehouseQuerySpeedup
 // turns that ratio into the checked-in acceptance bound.
 package twmarch_test
 
@@ -144,18 +144,17 @@ func TestMain(m *testing.M) {
 }
 
 // indexedQuery pages the corpus query through Search to completion and
-// returns the match count and page count.
-func indexedQuery(wh *warehouse.Warehouse) (records, pages int, err error) {
+// returns the match count.
+func indexedQuery(wh *warehouse.Warehouse) (records int, err error) {
 	q := corpusQuery()
 	for {
 		res, err := wh.Search(q)
 		if err != nil {
-			return 0, 0, err
+			return 0, err
 		}
 		records += len(res.Records)
-		pages++
 		if res.NextToken == "" {
-			return records, pages, nil
+			return records, nil
 		}
 		q.PageToken = res.NextToken
 	}
@@ -189,18 +188,15 @@ func replayQuery(store *jobstore.Store) (int, error) {
 
 // BenchmarkWarehouseQuery measures the index-backed read path: one
 // dimension-filtered range query over the full corpus, paged to
-// completion through the B+-tree (per-op = the whole 10k-record
-// answer, not one page). The hit_pct metric is the page-cache hit
-// rate over the benchmark — the same number /metrics serves as
-// twm_warehouse_pager_{hits,misses}_total.
+// completion through the postings (per-op = the whole 10k-record
+// answer, not one page).
 func BenchmarkWarehouseQuery(b *testing.B) {
 	_, wh := warehouseCorpus(b)
-	before := wh.CacheStats()
-	var records, pages int
+	var records int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		records, pages, err = indexedQuery(wh)
+		records, err = indexedQuery(wh)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -208,13 +204,7 @@ func BenchmarkWarehouseQuery(b *testing.B) {
 			b.Fatalf("query matched %d records, want %d", records, corpusJobs)
 		}
 	}
-	b.StopTimer()
-	after := wh.CacheStats()
-	if reads := after.Hits + after.Misses - before.Hits - before.Misses; reads > 0 {
-		b.ReportMetric(100*float64(after.Hits-before.Hits)/float64(reads), "hit_pct")
-	}
 	b.ReportMetric(float64(records), "records")
-	b.ReportMetric(float64(pages), "pages")
 }
 
 // BenchmarkWarehouseWALReplay answers the identical query by WAL
@@ -240,26 +230,24 @@ func BenchmarkWarehouseWALReplay(b *testing.B) {
 	b.ReportMetric(float64(records), "records")
 }
 
-// BenchmarkWarehouseIngest measures the write path: one InsertResult
-// per op into a fresh index — both tree inserts, bloom fold and page
-// writes included, checkpoints excluded (twmd checkpoints per settled
-// job, not per cell; the per-cell cost is what the streaming Ingester
-// sink adds to every simulated cell).
+// BenchmarkWarehouseIngest measures the write path: one cell per op
+// through a job's Ingester sink into a fresh index — the cost the
+// streaming sink adds to every simulated cell. The snapshot write at
+// Close is excluded: twmd writes it once, at shutdown.
 func BenchmarkWarehouseIngest(b *testing.B) {
 	wh, err := warehouse.Open(filepath.Join(b.TempDir(), "ingest.idx"), warehouse.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer wh.Close()
+	var sink campaign.Sink
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		seq := uint64(i/corpusCellsPerJob) + 1
-		if err := wh.InsertResult(seq, corpusCell(seq, i%corpusCellsPerJob)); err != nil {
-			b.Fatal(err)
+		seq, c := uint64(i/corpusCellsPerJob)+1, i%corpusCellsPerJob
+		if c == 0 {
+			sink = wh.Ingester(warehouse.JobID(seq))
 		}
+		sink.Emit(corpusCell(seq, c))
 	}
-	b.StopTimer()
-	b.ReportMetric(float64(wh.NumPages()), "pages")
 }
 
 // TestWarehouseQuerySpeedup is the read-path acceptance bound: over
@@ -272,9 +260,8 @@ func TestWarehouseQuerySpeedup(t *testing.T) {
 	}
 	store, wh := warehouseCorpus(t)
 
-	// Warm pass: verifies both paths agree and fills the page cache —
-	// the steady state a serving daemon queries from.
-	idxRecords, _, err := indexedQuery(wh)
+	// Warm pass: verifies both paths agree before either is timed.
+	idxRecords, err := indexedQuery(wh)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +288,7 @@ func TestWarehouseQuerySpeedup(t *testing.T) {
 		}
 		return bestDur
 	}
-	idxDur := best(func() error { _, _, err := indexedQuery(wh); return err })
+	idxDur := best(func() error { _, err := indexedQuery(wh); return err })
 	walDur := best(func() error { _, err := replayQuery(store); return err })
 
 	speedup := float64(walDur) / float64(idxDur)
