@@ -306,6 +306,60 @@ func BenchmarkDetectsFast(b *testing.B) { benchDetectsPath(b, false, true) }
 // (verdict-equivalent by the lane equivalence suite and fuzzer).
 func BenchmarkDetectLane(b *testing.B) { benchDetectsPath(b, false, false) }
 
+// BenchmarkDetectLaneSmallCells isolates the lane replay kernel on the
+// cells small-memory campaigns are made of: every catalog test × widths
+// 2, 4, 8 × both schemes (72 shapes) at 2–8 words in both detection
+// modes, SAF+TF. The references are built before the timer, so ns/op
+// is RunLanes alone — the kernel that BenchmarkS5Coverage and
+// BenchmarkDetectLane time together with a reference build per op.
+func BenchmarkDetectLaneSmallCells(b *testing.B) {
+	type cell struct {
+		ref  *faultsim.Reference
+		list []faults.Fault
+	}
+	var cells []cell
+	nFaults := 0
+	for _, e := range march.Catalog() {
+		bm := march.MustLookup(e.Name)
+		for _, width := range []int{2, 4, 8} {
+			twm, err := core.TWMTA(bm, width)
+			if err != nil {
+				b.Fatal(err)
+			}
+			s1, err := core.Scheme1(bm, width)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, test := range []*march.Test{twm.TWMarch, s1.Test} {
+				for words := 2; words <= 8; words++ {
+					list, err := campaign.FaultList([]string{"SAF", "TF"}, faults.AllPairs, words, width)
+					if err != nil {
+						b.Fatal(err)
+					}
+					for _, mode := range []faultsim.DetectMode{faultsim.DirectCompare, faultsim.Signature} {
+						ref, err := faultsim.NewReference(faultsim.Campaign{Test: test, Words: words, Width: width, Mode: mode, Seed: int64(len(cells))})
+						if err != nil {
+							b.Fatal(err)
+						}
+						cells = append(cells, cell{ref, list})
+						nFaults += len(list)
+					}
+				}
+			}
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, c := range cells {
+			if _, err := c.ref.RunLanes(c.list); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(len(cells)), "cells")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(nFaults), "ns/fault")
+}
+
 // BenchmarkE1OnlineInterference measures the online scheduler under
 // tight idle windows (E1).
 func BenchmarkE1OnlineInterference(b *testing.B) {

@@ -350,6 +350,9 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 		`{"tests":["MATS"],"widths":[3],"words":[4]}`,
 		`{"tests":["MATS"],"widths":[4],"words":[4],"bogus_field":1}`,
 		`{"tests":["MATS"],"widths":[4],"words":[100000]}`,
+		// A power of two wider than a word: it once passed validation
+		// and panicked the engine in Scheme1.
+		`{"tests":["MATS"],"widths":[256],"words":[2],"classes":["SAF"],"schemes":["scheme1"]}`,
 	} {
 		resp, err := http.Post(ts.URL+"/campaigns", "application/json", strings.NewReader(body))
 		if err != nil {

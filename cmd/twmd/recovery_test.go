@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -163,6 +164,42 @@ func TestRecoverySkipsOrphanIDs(t *testing.T) {
 	if len(jobs) != 1 || jobs[0].ID != id || jobs[0].State != StateDone {
 		t.Fatalf("new job not journaled: %+v", jobs)
 	}
+}
+
+// A job journaled with a spec that validation now rejects — here a
+// width wider than a word, which used to panic the engine on every
+// restart — must settle failed at recovery instead of resuming, and
+// the daemon must come up healthy.
+func TestRecoverRejectedSpecFails(t *testing.T) {
+	dir := t.TempDir()
+	spec := campaign.Spec{Tests: []string{"MATS"}, Widths: []int{256}, Words: []int{2},
+		Classes: []string{"SAF"}, Schemes: []string{campaign.SchemeOne}}
+	j, err := openStore(t, dir).Create("c1", spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s := newServer(campaign.Engine{}, 2, openStore(t, dir), nil, nil)
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz returned %s", resp.Status)
+	}
+	st := getStatus(t, ts, "c1")
+	if st.State != StateFailed || !strings.Contains(st.Error, "journal recovery") || !strings.Contains(st.Error, "width 256") {
+		t.Fatalf("recovered job is %q (%q), want failed at journal recovery", st.State, st.Error)
+	}
+	// The daemon keeps serving: a fresh valid submission completes.
+	sub := postSpec(t, ts, smallSpec())
+	id, _ := sub["id"].(string)
+	waitState(t, ts, id, StateDone)
 }
 
 // TestRecoverTerminalJobs pins the restart behaviour for finished

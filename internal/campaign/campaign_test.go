@@ -6,6 +6,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"twmarch/internal/word"
 )
 
 // gridSpec is a ≥100-cell grid small enough to simulate quickly:
@@ -29,6 +31,7 @@ func TestSpecValidate(t *testing.T) {
 		{Tests: []string{"March C-"}, Widths: []int{4}},
 		{Tests: []string{"no such test"}, Widths: []int{4}, Words: []int{4}},
 		{Tests: []string{"March C-"}, Widths: []int{3}, Words: []int{4}},
+		{Tests: []string{"MATS"}, Widths: []int{2 * word.MaxWidth}, Words: []int{2}, Classes: []string{"SAF"}, Schemes: []string{SchemeOne}},
 		{Tests: []string{"March C-"}, Widths: []int{4}, Words: []int{1}},
 		{Tests: []string{"March C-"}, Widths: []int{4}, Words: []int{4}, Schemes: []string{"bogus"}},
 		{Tests: []string{"March C-"}, Widths: []int{4}, Words: []int{4}, Modes: []string{"bogus"}},

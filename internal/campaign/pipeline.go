@@ -254,7 +254,7 @@ func (y *YieldStats) MarshalJSON() ([]byte, error) {
 // escaped. Results are a pure function of (spec, cell, fault list) —
 // diagnosis, allocation and ECC classification are all deterministic —
 // so the byte-identical aggregate guarantee holds unchanged.
-func simulatePipeline(ctx context.Context, spec Spec, c Cell, cfg faultsim.Campaign, list []faults.Fault, res *CellResult) {
+func simulatePipeline(ctx context.Context, spec Spec, c Cell, ct *compiledTest, cfg faultsim.Campaign, list []faults.Fault, res *CellResult) {
 	p := spec.Pipeline
 	y := &YieldStats{ByDiagClass: make(map[string]int)}
 	codec, err := p.codec(c.Width)
@@ -263,18 +263,22 @@ func simulatePipeline(ctx context.Context, spec Spec, c Cell, cfg faultsim.Campa
 		return
 	}
 	maxSyn := p.maxSyndrome()
-	// Signature-mode detection goes through the campaign's detector —
-	// the cell's shared reference unless the spec forces the naive
-	// path (cfg.Naive carries spec.Naive); the diagnostic Syndrome
-	// re-run below stays a full comparator-view execution either way.
-	// Compare-mode cells take detection from the Syndrome result and
-	// never call detect.
+	// Signature-mode detection goes through the cell's reference —
+	// the shared compiled program bound to the cell — unless the spec
+	// forces the naive path; the diagnostic Syndrome re-run below
+	// stays a full comparator-view execution either way. Compare-mode
+	// cells take detection from the Syndrome result and never call
+	// detect.
 	var detect func(f faults.Fault) (bool, error)
 	if c.Mode == ModeSignature {
-		detect, err = cfg.Detector()
-		if err != nil {
-			res.Err = err.Error()
-			return
+		detect = func(f faults.Fault) (bool, error) { return faultsim.Detects(cfg, f) }
+		if !spec.Naive {
+			ref, err := ct.bind(c.Words, c.Seed)
+			if err != nil {
+				res.Err = err.Error()
+				return
+			}
+			detect = ref.Detects
 		}
 	}
 	for i, f := range list {

@@ -7,11 +7,8 @@ import (
 	"sync"
 	"time"
 
-	"twmarch/internal/complexity"
-	"twmarch/internal/core"
 	"twmarch/internal/faults"
 	"twmarch/internal/faultsim"
-	"twmarch/internal/march"
 	"twmarch/internal/tracing"
 )
 
@@ -87,12 +84,13 @@ func RunCell(spec Spec, c Cell) CellResult {
 
 // Simulator runs single grid cells outside the engine — the worker
 // side of cluster dispatch. Like one Engine.Stream run, it shares a
-// single fault enumeration per memory geometry across calls (and the
-// reference fast path per cell), so a worker leasing many cells of the
-// same campaign pays enumeration once per geometry. The cache is keyed
-// by geometry alone: a Simulator is therefore tied to one spec's fault
-// population — use a fresh Simulator per campaign, never across specs
-// with different Classes or Scope. Safe for concurrent use.
+// single fault enumeration per memory geometry across calls (and, like
+// every cell path, the process-wide compiled test programs), so a
+// worker leasing many cells of the same campaign pays enumeration once
+// per geometry. The cache is keyed by geometry alone: a Simulator is
+// therefore tied to one spec's fault population — use a fresh
+// Simulator per campaign, never across specs with different Classes or
+// Scope. Safe for concurrent use.
 type Simulator struct {
 	cache faultCache
 }
@@ -187,47 +185,24 @@ func (fc *faultCache) faults(spec Spec, words, width int) ([]faults.Fault, error
 
 func simulateCell(ctx context.Context, spec Spec, c Cell, cache *faultCache) CellResult {
 	res := CellResult{Cell: c}
-	bm, err := march.Lookup(c.Test)
+	mode := faultsim.DirectCompare
+	if c.Mode == ModeSignature {
+		mode = faultsim.Signature
+	}
+	ct, err := programs.lookup(c, mode)
 	if err != nil {
 		res.Err = err.Error()
 		return res
 	}
-	var test *march.Test
-	var sch complexity.Scheme
-	switch c.Scheme {
-	case SchemeTWM:
-		r, err := core.TWMTA(bm, c.Width)
-		if err != nil {
-			res.Err = err.Error()
-			return res
-		}
-		test, res.TCM, res.TCP, sch = r.TWMarch, r.TCM(), r.TCP(), complexity.Proposed
-	case SchemeOne:
-		r, err := core.Scheme1(bm, c.Width)
-		if err != nil {
-			res.Err = err.Error()
-			return res
-		}
-		test, res.TCM, res.TCP, sch = r.Test, r.TCM(), r.TCP(), complexity.Scheme1
-	default:
-		res.Err = fmt.Sprintf("campaign: unknown scheme %q", c.Scheme)
-		return res
-	}
-	if cost, err := complexity.ClosedFormFor(sch, bm, c.Width); err == nil {
-		res.ClosedTCM, res.ClosedTCP = cost.TCM, cost.TCP
-	}
+	res.TCM, res.TCP, res.ClosedTCM, res.ClosedTCP = ct.tcm, ct.tcp, ct.closedTCM, ct.closedTCP
 
 	list, err := cache.faults(spec, c.Words, c.Width)
 	if err != nil {
 		res.Err = err.Error()
 		return res
 	}
-	mode := faultsim.DirectCompare
-	if c.Mode == ModeSignature {
-		mode = faultsim.Signature
-	}
 	cfg := faultsim.Campaign{
-		Test:    test,
+		Test:    ct.test,
 		Words:   c.Words,
 		Width:   c.Width,
 		Mode:    mode,
@@ -240,18 +215,19 @@ func simulateCell(ctx context.Context, spec Spec, c Cell, cache *faultCache) Cel
 		// Pipeline-enabled cells take the per-fault path: detection
 		// verdicts are identical to the batched loop below, plus the
 		// diagnosis/repair/ECC outcome in res.Yield.
-		simulatePipeline(ctx, spec, c, cfg, list, &res)
+		simulatePipeline(ctx, spec, c, ct, cfg, list, &res)
 		return res
 	}
-	// One fault-free reference per cell, shared across the cell's
-	// whole fault population, riding the bit-parallel lane path unless
+	// One fault-free reference per cell — the shared compiled program
+	// bound to the cell's size and seed — used across the cell's whole
+	// fault population, riding the bit-parallel lane path unless
 	// spec.NoLanes pins the scalar replay; spec.Naive falls back to
 	// the one-shot per-fault loop (identical tallies, only slower).
 	runBatch := func(batch []faults.Fault) (*faultsim.Report, error) {
 		return faultsim.Run(cfg, batch)
 	}
 	if !spec.Naive {
-		ref, err := faultsim.NewReference(cfg)
+		ref, err := ct.bind(c.Words, c.Seed)
 		if err != nil {
 			res.Err = err.Error()
 			return res

@@ -20,6 +20,7 @@ import (
 	"twmarch/internal/databg"
 	"twmarch/internal/faults"
 	"twmarch/internal/march"
+	"twmarch/internal/word"
 )
 
 // Default grid dimensions applied by Normalized when a field is empty.
@@ -161,6 +162,9 @@ func (s Spec) Validate() error {
 	for _, w := range s.Widths {
 		if _, err := databg.Log2(w); err != nil {
 			return fmt.Errorf("campaign: width %d: %v", w, err)
+		}
+		if w > word.MaxWidth {
+			return fmt.Errorf("campaign: width %d above the %d-bit word limit", w, word.MaxWidth)
 		}
 	}
 	for _, n := range s.Words {

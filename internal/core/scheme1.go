@@ -59,7 +59,7 @@ func Scheme1(bm *march.Test, width int) (*Scheme1Result, error) {
 	if bm.Reads() == 0 {
 		return nil, fmt.Errorf("core: Scheme1: %q has no read operations", bm.Name)
 	}
-	bgs, err := databg.Standard(width)
+	bgs, err := standardBackgrounds(width)
 	if err != nil {
 		return nil, err
 	}
@@ -138,6 +138,19 @@ func Scheme1(bm *march.Test, width int) (*Scheme1Result, error) {
 	return res, nil
 }
 
+// standardBackgrounds returns databg.Standard(width) for widths a word
+// can hold. databg accepts any power of two, but a background wider
+// than word.MaxWidth does not fit in a word.
+func standardBackgrounds(width int) ([]word.Word, error) {
+	if _, err := databg.Log2(width); err != nil {
+		return nil, err
+	}
+	if width > word.MaxWidth {
+		return nil, fmt.Errorf("core: width %d out of range [1,%d]", width, word.MaxWidth)
+	}
+	return databg.Standard(width)
+}
+
 // WordOriented builds the conventional nontransparent word-oriented
 // march test of Section 3: the bit-oriented test replayed once per
 // standard data background, with 0 mapped to b_k and 1 to ~b_k (the
@@ -146,7 +159,7 @@ func WordOriented(bm *march.Test, width int) (*march.Test, error) {
 	if !bm.IsBitOriented() {
 		return nil, fmt.Errorf("core: WordOriented requires a bit-oriented march test, got %q", bm.Name)
 	}
-	bgs, err := databg.Standard(width)
+	bgs, err := standardBackgrounds(width)
 	if err != nil {
 		return nil, err
 	}

@@ -135,6 +135,19 @@ func TestScheme1Errors(t *testing.T) {
 	if _, err := Scheme1(march.MustParse("noreads", "{any(w0)}"), 8); err == nil {
 		t.Error("read-free test accepted")
 	}
+	// Powers of two past word.MaxWidth have no word to hold their
+	// backgrounds; they must error like TWMTA does, not panic.
+	for _, w := range []int{2 * word.MaxWidth, 4 * word.MaxWidth} {
+		if _, err := Scheme1(march.MustLookup("MATS"), w); err == nil {
+			t.Errorf("width %d accepted", w)
+		}
+		if _, err := TWMTA(march.MustLookup("MATS"), w); err == nil {
+			t.Errorf("TWMTA accepted width %d", w)
+		}
+		if _, err := WordOriented(march.MustLookup("MATS"), w); err == nil {
+			t.Errorf("WordOriented accepted width %d", w)
+		}
+	}
 }
 
 // Scheme 1 is never shorter than TWM_TA, and strictly longer for every

@@ -16,10 +16,10 @@
 // Batch evaluation has three implementations with bit-identical
 // verdicts, each the oracle for the next. Detects is the naive
 // one-shot path: fresh memory, re-randomized contents and a full march
-// per fault. Reference.Detects is the scalar fast path: the fault-free
-// run is captured once per configuration (ordered access trace,
-// expected reads, MISR prefix states) and each fault replays against
-// it on a pooled memory arena. Reference.DetectLane is the
+// per fault. Reference.Detects is the scalar fast path: the test is
+// compiled once into a Program that serves every memory size, bound to
+// a configuration's initial contents and fault-free MISR prefix states,
+// and each fault replays against it on a pooled memory arena. Reference.DetectLane is the
 // bit-parallel path: up to 64 faults packed into uint64 bit-planes and
 // replayed at once (see lane.go). Run rides the lane path unless
 // Campaign.NoLanes drops it to the scalar replay or Campaign.Naive to

@@ -5,7 +5,7 @@ package faultsim
 // A lane packs up to LaneWidth faulty machines into uint64 bit-planes
 // (see internal/memory's plane helpers): bit L of plane (addr, b) is
 // the value of memory bit (addr, b) in lane machine L. One replay of
-// the compiled schedule then advances all 64 machines at once — march
+// the compiled program then advances all 64 machines at once — march
 // writes become a handful of bitwise plane transforms, fault
 // activation becomes per-plane masks or per-address hooks, and
 // detection folds whole lanes (XOR against the expected row in
@@ -41,44 +41,6 @@ import (
 // in parallel — the lane capacity of DetectLane and the chunk size of
 // RunLanes.
 const LaneWidth = 64
-
-// laneOp is one schedule step precompiled for plane replay: the refOp
-// datum broadcast into per-bit lane rows so the hot loop works on
-// uint64 rows without re-broadcasting per call.
-type laneOp struct {
-	kind        march.OpKind
-	addr        int
-	base        int // addr * width: first plane index of the word
-	transparent bool
-	// rows[b] is the datum bit b broadcast across all 64 lanes: the
-	// effective XOR mask for transparent data, the literal value
-	// otherwise.
-	rows []uint64
-}
-
-// compileLaneOps lowers a compiled scalar schedule into broadcast form.
-// All row slices share one backing array — the schedule is immutable
-// after compilation and the single allocation keeps NewReference cheap.
-func compileLaneOps(sched []refOp, width int) []laneOp {
-	out := make([]laneOp, len(sched))
-	backing := make([]uint64, len(sched)*width)
-	for i, op := range sched {
-		lo := laneOp{
-			kind:        op.kind,
-			addr:        op.addr,
-			base:        op.addr * width,
-			transparent: op.transparent,
-			rows:        backing[i*width : (i+1)*width : (i+1)*width],
-		}
-		d := op.val
-		if op.transparent {
-			d = op.eff
-		}
-		memory.BroadcastPlanes(lo.rows, []word.Word{d}, width)
-		out[i] = lo
-	}
-	return out
-}
 
 // hookKind tags the per-address fix-up hooks a lane replay runs after
 // bulk-committing a write (write hooks) or loading a read row (read
@@ -792,40 +754,48 @@ func (r *Reference) snapshotLane(ar *laneArena) {
 // already detected keep evolving, which is harmless: verdicts are
 // sticky and nothing else is observed.
 func (r *Reference) replayDirectLane(ar *laneArena) {
-	w := r.width
+	w, n := r.width, r.words
 	r.snapshotLane(ar)
-	for i := range r.laneSched {
-		op := &r.laneSched[i]
-		if op.kind == march.Write {
-			if op.transparent {
-				for b := 0; b < w; b++ {
-					ar.valRow[b] = ar.snap[op.base+b] ^ op.rows[b]
+	for ei := range r.prog.test {
+		e := &r.prog.test[ei]
+		ops := e.ops
+		addr, step := e.walk(n)
+		for k := 0; k < n; k, addr = k+1, addr+step {
+			base := addr * w
+			for oi := range ops {
+				op := &ops[oi]
+				if op.kind == march.Write {
+					if op.transparent {
+						for b := 0; b < w; b++ {
+							ar.valRow[b] = ar.snap[base+b] ^ op.rows[b]
+						}
+					} else {
+						copy(ar.valRow[:w], op.rows)
+					}
+					ar.write(w, addr, base)
+					continue
 				}
-			} else {
-				copy(ar.valRow[:w], op.rows)
+				ar.read(w, addr, base)
+				var mm uint64
+				if op.transparent {
+					for b := 0; b < w; b++ {
+						mm |= ar.rawRow[b] ^ ar.snap[base+b] ^ op.rows[b]
+					}
+				} else {
+					for b := 0; b < w; b++ {
+						mm |= ar.rawRow[b] ^ op.rows[b]
+					}
+				}
+				if mm != 0 {
+					ar.detected |= mm
+					if ar.detected&ar.active == ar.active {
+						return
+					}
+					// Detected lanes' verdicts are final — stop paying for
+					// their hooks.
+					ar.live = ar.active &^ ar.detected
+				}
 			}
-			ar.write(w, op.addr, op.base)
-			continue
-		}
-		ar.read(w, op.addr, op.base)
-		var mm uint64
-		if op.transparent {
-			for b := 0; b < w; b++ {
-				mm |= ar.rawRow[b] ^ ar.snap[op.base+b] ^ op.rows[b]
-			}
-		} else {
-			for b := 0; b < w; b++ {
-				mm |= ar.rawRow[b] ^ op.rows[b]
-			}
-		}
-		if mm != 0 {
-			ar.detected |= mm
-			if ar.detected&ar.active == ar.active {
-				return
-			}
-			// Detected lanes' verdicts are final — stop paying for
-			// their hooks.
-			ar.live = ar.active &^ ar.detected
 		}
 	}
 }
@@ -837,39 +807,49 @@ func (r *Reference) replayDirectLane(ar *laneArena) {
 // exactly the algebraic identity that makes the two equal — so every
 // lane's signature matches misr.MISR fed the same stream. The memory
 // planes carry over between passes, as in the scalar replay.
-func (r *Reference) laneCompress(ar *laneArena, sched []laneOp, predict bool, out []uint64) {
-	w := r.width
+func (r *Reference) laneCompress(ar *laneArena, elems []progElem, predict bool, out []uint64) {
+	w, n := r.width, r.words
+	polyBits := r.prog.polyBits
 	clear(out)
 	r.snapshotLane(ar)
-	for i := range sched {
-		op := &sched[i]
-		if op.kind == march.Write {
-			if op.transparent {
-				for b := 0; b < w; b++ {
-					ar.valRow[b] = ar.snap[op.base+b] ^ op.rows[b]
+	for ei := range elems {
+		e := &elems[ei]
+		ops := e.ops
+		addr, step := e.walk(n)
+		for k := 0; k < n; k, addr = k+1, addr+step {
+			base := addr * w
+			for oi := range ops {
+				op := &ops[oi]
+				if op.kind == march.Write {
+					if op.transparent {
+						for b := 0; b < w; b++ {
+							ar.valRow[b] = ar.snap[base+b] ^ op.rows[b]
+						}
+					} else {
+						copy(ar.valRow[:w], op.rows)
+					}
+					ar.write(w, addr, base)
+					continue
 				}
-			} else {
-				copy(ar.valRow[:w], op.rows)
-			}
-			ar.write(w, op.addr, op.base)
-			continue
-		}
-		ar.read(w, op.addr, op.base)
-		// Clock the 64 registers: Galois shift with the polynomial taps
-		// applied to the lanes whose top bit was set, then the feed XOR.
-		msb := out[w-1]
-		copy(out[1:], out[:w-1])
-		out[0] = 0
-		for _, pb := range r.polyBits {
-			out[pb] ^= msb
-		}
-		if predict && op.transparent {
-			for b := 0; b < w; b++ {
-				out[b] ^= ar.rawRow[b] ^ op.rows[b]
-			}
-		} else {
-			for b := 0; b < w; b++ {
-				out[b] ^= ar.rawRow[b]
+				ar.read(w, addr, base)
+				// Clock the 64 registers: Galois shift with the polynomial
+				// taps applied to the lanes whose top bit was set, then
+				// the feed XOR.
+				msb := out[w-1]
+				copy(out[1:], out[:w-1])
+				out[0] = 0
+				for _, pb := range polyBits {
+					out[pb] ^= msb
+				}
+				if predict && op.transparent {
+					for b := 0; b < w; b++ {
+						out[b] ^= ar.rawRow[b] ^ op.rows[b]
+					}
+				} else {
+					for b := 0; b < w; b++ {
+						out[b] ^= ar.rawRow[b]
+					}
+				}
 			}
 		}
 	}
@@ -916,8 +896,8 @@ func (r *Reference) DetectLane(fs []faults.Fault) (uint64, error) {
 		case DirectCompare:
 			r.replayDirectLane(ar)
 		case Signature:
-			r.laneCompress(ar, r.lanePredSched, true, ar.sigA)
-			r.laneCompress(ar, r.laneSched, false, ar.misr)
+			r.laneCompress(ar, r.prog.pred, true, ar.sigA)
+			r.laneCompress(ar, r.prog.test, false, ar.misr)
 			var differ uint64
 			for b := 0; b < r.width; b++ {
 				differ |= ar.sigA[b] ^ ar.misr[b]

@@ -4,50 +4,12 @@ import (
 	"fmt"
 	"sync"
 
-	"twmarch/internal/core"
 	"twmarch/internal/faults"
 	"twmarch/internal/march"
 	"twmarch/internal/memory"
 	"twmarch/internal/misr"
 	"twmarch/internal/word"
 )
-
-// refOp is one step of a precompiled replay schedule: a flattened
-// march operation with its datum resolved into either a literal value
-// or the XOR distance from the initial content, so the per-fault loop
-// evaluates each datum with at most one XOR instead of re-walking the
-// march elements.
-type refOp struct {
-	kind        march.OpKind
-	addr        int
-	transparent bool
-	// val is the literal for nontransparent data, pre-masked to the
-	// memory width.
-	val word.Word
-	// eff is the effective XOR mask for transparent data: the op's
-	// value is snapshot[addr] ^ eff.
-	eff word.Word
-}
-
-// compileSchedule flattens a test into refOps under the runner's
-// default options (the options every campaign path uses).
-func compileSchedule(t *march.Test, words, width int) ([]refOp, error) {
-	flat, err := march.Flatten(t, words, march.RunOptions{})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]refOp, len(flat))
-	for i, f := range flat {
-		op := refOp{kind: f.Kind, addr: f.Addr, transparent: f.Data.Transparent}
-		if f.Data.Transparent {
-			op.eff = f.Data.EffectiveMask(width)
-		} else {
-			op.val = f.Data.Const.Mask(width)
-		}
-		out[i] = op
-	}
-	return out, nil
-}
 
 // arena is the pooled per-run scratch state a Reference replays faults
 // in: a reusable memory (reset with Restore instead of a fresh
@@ -66,14 +28,14 @@ type arena struct {
 //
 // Detects allocates a fresh memory, re-randomizes it and re-walks the
 // whole march for every fault, so the fault-free work dominates an
-// exhaustive campaign. A Reference runs that work once: it fixes the
-// initial contents, compiles the march (and, in Signature mode, the
-// prediction test) into a flat replay schedule, and records the
-// fault-free MISR feed stream together with the register state before
-// every clock. Each fault is then evaluated against the shared
-// reference on a pooled arena:
+// exhaustive campaign. A Reference runs that work once: it binds a
+// compiled Program (the march and, in Signature mode, the prediction
+// test) to fixed initial contents and records the fault-free MISR
+// feed stream together with the register state before every clock.
+// Each fault is then evaluated against the shared reference on a
+// pooled arena:
 //
-//   - DirectCompare replays the schedule and exits at the first read
+//   - DirectCompare replays the program and exits at the first read
 //     that diverges from its expected value — exactly the verdict of
 //     march.Run with StopAtFirstMismatch.
 //   - Signature replays both passes but engages the MISR only from the
@@ -89,37 +51,28 @@ type arena struct {
 // the verdicts match Detects exactly. The equivalence suite in
 // reference_test.go asserts this over the full fault catalog.
 //
-// All exported state is read-only after NewReference; the arena pool
+// All exported state is read-only after construction; the arena pool
 // makes concurrent Detects calls safe.
 type Reference struct {
+	prog    *Program
 	words   int
 	width   int
 	mode    DetectMode
 	initial []word.Word
-	sched   []refOp
 
-	// Signature mode: the prediction schedule and, per pass, the
-	// fault-free feed stream plus the MISR state after each clock
-	// (states[k] is the register after k feeds; states[len(feeds)] is
-	// the pass's fault-free signature).
-	predSched  []refOp
+	// Signature mode, per pass: the fault-free feed stream plus the
+	// MISR state after each clock (states[k] is the register after k
+	// feeds; states[len(feeds)] is the pass's fault-free signature).
 	predFeeds  []word.Word
 	predStates []word.Word
 	testFeeds  []word.Word
 	testStates []word.Word
 
-	// Bit-parallel lane path (lane.go): the schedules lowered into
-	// broadcast rows, the MISR polynomial's tap positions (Signature
-	// mode), and the pooled lane arenas.
-	laneSched     []laneOp
-	lanePredSched []laneOp
-	polyBits      []int
-
 	// pools lives apart from the Reference, and its New functions
 	// capture only the arena shape: the runtime keeps every pool used
 	// since the last collection reachable through the next one, and
-	// an embedded pool would pin the whole reference (its schedules
-	// and feed streams) along with it.
+	// an embedded pool would pin the whole reference (its feed
+	// streams) along with it.
 	pools *arenaPools
 }
 
@@ -129,9 +82,11 @@ type arenaPools struct {
 }
 
 // NewReference precomputes the fault-free reference for the campaign
-// configuration. Signature mode requires a transparent test (the
-// prediction derivation) and a tabulated MISR polynomial for the
-// width, mirroring the per-fault errors of the naive path.
+// configuration: it compiles the test (Compile) and binds the program
+// to the campaign's initial contents. Signature mode requires a
+// transparent test (the prediction derivation) and a tabulated MISR
+// polynomial for the width, mirroring the per-fault errors of the
+// naive path.
 func NewReference(c Campaign) (*Reference, error) {
 	if c.Test == nil {
 		return nil, fmt.Errorf("faultsim: campaign has no test")
@@ -143,49 +98,34 @@ func NewReference(c Campaign) (*Reference, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &Reference{
-		words:   c.Words,
-		width:   c.Width,
-		mode:    c.Mode,
-		initial: mem.Snapshot(),
-	}
-	r.sched, err = compileSchedule(c.Test, c.Words, c.Width)
+	p, err := Compile(c.Test, c.Mode)
 	if err != nil {
 		return nil, err
 	}
-	switch c.Mode {
-	case DirectCompare:
-	case Signature:
-		pred, err := core.Prediction(c.Test)
-		if err != nil {
-			return nil, err
-		}
-		r.predSched, err = compileSchedule(pred, c.Words, c.Width)
-		if err != nil {
-			return nil, err
-		}
-		r.predFeeds, r.predStates, err = r.faultFreePass(mem, r.predSched, true)
-		if err != nil {
-			return nil, err
-		}
-		r.testFeeds, r.testStates, err = r.faultFreePass(mem, r.sched, false)
-		if err != nil {
-			return nil, err
-		}
-		poly, err := misr.LookupPoly(c.Width)
-		if err != nil {
-			return nil, err
-		}
-		for b := 0; b < c.Width; b++ {
-			if poly.Bit(b) == 1 {
-				r.polyBits = append(r.polyBits, b)
-			}
-		}
-		r.lanePredSched = compileLaneOps(r.predSched, c.Width)
-	default:
-		return nil, fmt.Errorf("faultsim: unknown mode %v", c.Mode)
+	return p.bind(mem)
+}
+
+// bind builds the program's Reference over mem's current contents,
+// running the Signature-mode fault-free passes on it.
+func (p *Program) bind(mem *memory.Memory) (*Reference, error) {
+	r := &Reference{
+		prog:    p,
+		words:   mem.Words(),
+		width:   p.width,
+		mode:    p.mode,
+		initial: mem.Snapshot(),
 	}
-	r.laneSched = compileLaneOps(r.sched, c.Width)
+	if p.mode == Signature {
+		var err error
+		r.predFeeds, r.predStates, err = r.faultFreePass(mem, p.pred, p.predReads, true)
+		if err != nil {
+			return nil, err
+		}
+		r.testFeeds, r.testStates, err = r.faultFreePass(mem, p.test, p.testReads, false)
+		if err != nil {
+			return nil, err
+		}
+	}
 	words, width, mode := r.words, r.width, r.mode
 	r.pools = &arenaPools{}
 	r.pools.scalar.New = func() any {
@@ -202,11 +142,12 @@ func NewReference(c Campaign) (*Reference, error) {
 	return r, nil
 }
 
-// faultFreePass executes one pass of the schedule on the fault-free
+// faultFreePass executes one pass of the program on the fault-free
 // memory and records the MISR feed stream and per-clock register
-// states. mem is restored to the initial contents before and after, so
-// the reference never depends on pass order.
-func (r *Reference) faultFreePass(mem *memory.Memory, sched []refOp, predict bool) (feeds, states []word.Word, err error) {
+// states, reads·words feeds in all. mem is restored to the initial
+// contents before and after, so the reference never depends on pass
+// order.
+func (r *Reference) faultFreePass(mem *memory.Memory, elems []progElem, reads int, predict bool) (feeds, states []word.Word, err error) {
 	if err := mem.Restore(r.initial); err != nil {
 		return nil, nil, err
 	}
@@ -215,23 +156,34 @@ func (r *Reference) faultFreePass(mem *memory.Memory, sched []refOp, predict boo
 		return nil, nil, err
 	}
 	reg.Reset(word.Zero)
-	states = append(states, reg.Signature())
-	for _, op := range sched {
-		val := op.val
-		if op.transparent {
-			val = r.initial[op.addr].Xor(op.eff)
+	n := r.words
+	feeds = make([]word.Word, 0, reads*n)
+	states = make([]word.Word, 1, reads*n+1)
+	states[0] = reg.Signature()
+	for ei := range elems {
+		e := &elems[ei]
+		ops := e.ops
+		addr, step := e.walk(n)
+		for k := 0; k < n; k, addr = k+1, addr+step {
+			for oi := range ops {
+				op := &ops[oi]
+				val := op.val
+				if op.transparent {
+					val = r.initial[addr].Xor(op.eff)
+				}
+				if op.kind == march.Write {
+					mem.Write(addr, val)
+					continue
+				}
+				feed := mem.Read(addr)
+				if predict {
+					feed = feed.Xor(op.eff)
+				}
+				reg.Feed(feed)
+				feeds = append(feeds, feed)
+				states = append(states, reg.Signature())
+			}
 		}
-		if op.kind == march.Write {
-			mem.Write(op.addr, val)
-			continue
-		}
-		feed := mem.Read(op.addr)
-		if predict {
-			feed = feed.Xor(op.eff)
-		}
-		reg.Feed(feed)
-		feeds = append(feeds, feed)
-		states = append(states, reg.Signature())
 	}
 	if err := mem.Restore(r.initial); err != nil {
 		return nil, nil, err
@@ -257,8 +209,8 @@ func (r *Reference) Detects(f faults.Fault) (bool, error) {
 	case DirectCompare:
 		return r.replayDirect(ar, inj), nil
 	case Signature:
-		predicted := r.replayCompress(ar, inj, r.predSched, true, r.predFeeds, r.predStates)
-		testSig := r.replayCompress(ar, inj, r.sched, false, r.testFeeds, r.testStates)
+		predicted := r.replayCompress(ar, inj, r.prog.pred, true, r.predFeeds, r.predStates)
+		testSig := r.replayCompress(ar, inj, r.prog.test, false, r.testFeeds, r.testStates)
 		return predicted != testSig, nil
 	default:
 		return false, fmt.Errorf("faultsim: unknown mode %v", r.mode)
@@ -281,17 +233,26 @@ func (r *Reference) snapshot(ar *arena, inj *faults.Injected) []word.Word {
 // the first divergence exactly like march.Run with StopAtFirstMismatch.
 func (r *Reference) replayDirect(ar *arena, inj *faults.Injected) bool {
 	snap := r.snapshot(ar, inj)
-	for _, op := range r.sched {
-		val := op.val
-		if op.transparent {
-			val = snap[op.addr].Xor(op.eff)
-		}
-		if op.kind == march.Write {
-			inj.Write(op.addr, val)
-			continue
-		}
-		if inj.Read(op.addr) != val {
-			return true
+	n := r.words
+	for ei := range r.prog.test {
+		e := &r.prog.test[ei]
+		ops := e.ops
+		addr, step := e.walk(n)
+		for k := 0; k < n; k, addr = k+1, addr+step {
+			for oi := range ops {
+				op := &ops[oi]
+				val := op.val
+				if op.transparent {
+					val = snap[addr].Xor(op.eff)
+				}
+				if op.kind == march.Write {
+					inj.Write(addr, val)
+					continue
+				}
+				if inj.Read(addr) != val {
+					return true
+				}
+			}
 		}
 	}
 	return false
@@ -302,34 +263,43 @@ func (r *Reference) replayDirect(ar *arena, inj *faults.Injected) bool {
 // the fault-free reference the register is not clocked at all — the
 // fault-free state is tabulated — and compression resumes from the
 // recorded prefix state at the first divergence.
-func (r *Reference) replayCompress(ar *arena, inj *faults.Injected, sched []refOp, predict bool, feeds, states []word.Word) word.Word {
+func (r *Reference) replayCompress(ar *arena, inj *faults.Injected, elems []progElem, predict bool, feeds, states []word.Word) word.Word {
 	snap := r.snapshot(ar, inj)
 	reg := ar.reg
 	clock := 0
 	diverged := false
-	for _, op := range sched {
-		if op.kind == march.Write {
-			val := op.val
-			if op.transparent {
-				val = snap[op.addr].Xor(op.eff)
-			}
-			inj.Write(op.addr, val)
-			continue
-		}
-		feed := inj.Read(op.addr)
-		if predict {
-			feed = feed.Xor(op.eff)
-		}
-		if !diverged {
-			if feed == feeds[clock] {
+	n := r.words
+	for ei := range elems {
+		e := &elems[ei]
+		ops := e.ops
+		addr, step := e.walk(n)
+		for k := 0; k < n; k, addr = k+1, addr+step {
+			for oi := range ops {
+				op := &ops[oi]
+				if op.kind == march.Write {
+					val := op.val
+					if op.transparent {
+						val = snap[addr].Xor(op.eff)
+					}
+					inj.Write(addr, val)
+					continue
+				}
+				feed := inj.Read(addr)
+				if predict {
+					feed = feed.Xor(op.eff)
+				}
+				if !diverged {
+					if feed == feeds[clock] {
+						clock++
+						continue
+					}
+					reg.Reset(states[clock])
+					diverged = true
+				}
+				reg.Feed(feed)
 				clock++
-				continue
 			}
-			reg.Reset(states[clock])
-			diverged = true
 		}
-		reg.Feed(feed)
-		clock++
 	}
 	if !diverged {
 		return states[clock]

@@ -30,7 +30,8 @@ func fullCatalog(words, width int) []faults.Fault {
 // equivalenceConfigs returns the campaign configurations the fast/naive
 // equivalence suite exercises: word-oriented TWMarch and Scheme 1
 // tests, a bit-oriented transparent march with NPSF in the population,
-// in both detection modes.
+// and the small odd-sized memories campaign grids run (5×4, 8×2), in
+// both detection modes.
 func equivalenceConfigs(t *testing.T) []Campaign {
 	t.Helper()
 	twm, err := core.TWMTA(march.MustLookup("March C-"), 4)
@@ -49,6 +50,10 @@ func equivalenceConfigs(t *testing.T) []Campaign {
 	if err != nil {
 		t.Fatal(err)
 	}
+	s1w2, err := core.Scheme1(march.MustLookup("March X"), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return []Campaign{
 		{Test: twm.TWMarch, Words: 3, Width: 4, Mode: DirectCompare, Seed: 1},
 		{Test: twm.TWMarch, Words: 3, Width: 4, Mode: Signature, Seed: 1},
@@ -59,6 +64,10 @@ func equivalenceConfigs(t *testing.T) []Campaign {
 		{Test: s1.Test, Words: 3, Width: 4, Mode: Signature, Seed: 3},
 		{Test: bt.Transparent, Words: 9, Width: 1, Mode: DirectCompare, Seed: 11},
 		{Test: bt.Transparent, Words: 9, Width: 1, Mode: Signature, Seed: 11},
+		{Test: twm.TWMarch, Words: 5, Width: 4, Mode: DirectCompare, Seed: 13},
+		{Test: twm.TWMarch, Words: 5, Width: 4, Mode: Signature, Seed: 13},
+		{Test: s1w2.Test, Words: 8, Width: 2, Mode: DirectCompare, Seed: 17},
+		{Test: s1w2.Test, Words: 8, Width: 2, Mode: Signature, Seed: 17},
 	}
 }
 

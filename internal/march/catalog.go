@@ -140,6 +140,17 @@ func Lookup(name string) (*Test, error) {
 	return t.Clone(), nil
 }
 
+// CatalogName returns the catalog spelling of a test name, accepting
+// every spelling Lookup accepts ("march c-" → "March C-"). It reports
+// false for names Lookup rejects.
+func CatalogName(name string) (string, bool) {
+	t, ok := catalogByName[canonical(name)]
+	if !ok {
+		return "", false
+	}
+	return t.Name, true
+}
+
 // MustLookup is Lookup for statically known names.
 func MustLookup(name string) *Test {
 	t, err := Lookup(name)

@@ -249,6 +249,20 @@ func TestCatalogLookupNormalization(t *testing.T) {
 	}
 }
 
+// CatalogName folds every spelling Lookup accepts onto the catalog
+// name, so callers can key tables by it.
+func TestCatalogName(t *testing.T) {
+	for _, name := range []string{"March C-", "march c-", "MARCH C-", "MarchC-", "march cminus", "March_C-"} {
+		got, ok := CatalogName(name)
+		if !ok || got != "March C-" {
+			t.Errorf("CatalogName(%q) = %q, %v; want \"March C-\", true", name, got, ok)
+		}
+	}
+	if got, ok := CatalogName("March Z"); ok {
+		t.Errorf("CatalogName(\"March Z\") = %q, true; want false", got)
+	}
+}
+
 func TestCatalogSortedByLength(t *testing.T) {
 	entries := Catalog()
 	prev := 0
