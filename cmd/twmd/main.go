@@ -314,7 +314,8 @@ type job struct {
 	wh     *warehouse.Warehouse
 	cancel context.CancelFunc
 	done   chan struct{}
-	log    *slog.Logger
+	// log is the server's logger; logger() adds the job attribute.
+	log *slog.Logger
 	// span is the job's root tracing span (finished in settle) and col
 	// the collector every span on the job's trace lands in — including
 	// the worker-side spans the coordinator records — backing
@@ -364,10 +365,12 @@ type Status struct {
 }
 
 // logger returns the job's logger, or a silent one for jobs built
-// outside the server paths (tests).
+// outside the server paths (tests). The job attribute is attached per
+// call rather than once per job: job lines are rare (resume, settle,
+// journal errors), and a restart recovers every journaled job.
 func (j *job) logger() *slog.Logger {
 	if j.log != nil {
-		return j.log
+		return j.log.With("job", j.id)
 	}
 	return obs.NopLogger()
 }
@@ -459,9 +462,10 @@ func newServer(eng campaign.Engine, maxJobs int, store *jobstore.Store, coord *c
 	return newServerWith(eng, maxJobs, store, coord, nil, logger)
 }
 
-// newServerWith is newServer plus the result warehouse: wh is
-// reconciled against the journal set before recovery resumes any job,
-// so index repairs never race live ingest.
+// newServerWith is newServer plus the result warehouse. Start-up reads
+// the journal set once: wh is reconciled against the recovered jobs
+// before recovery resumes any of them, so index repairs never race
+// live ingest.
 func newServerWith(eng campaign.Engine, maxJobs int, store *jobstore.Store, coord *cluster.Coordinator, wh *warehouse.Warehouse, logger *slog.Logger) *server {
 	if maxJobs < 1 {
 		maxJobs = 1
@@ -490,8 +494,16 @@ func newServerWith(eng campaign.Engine, maxJobs int, store *jobstore.Store, coor
 	obs.Mount(s.mux, obs.Default())
 	registerGatherHook(s)
 	s.handler = obs.Instrument("twmd", s.mux, routePattern)
-	s.reconcileWarehouse()
-	s.recover()
+	if store == nil {
+		return s
+	}
+	jobs, err := store.Recover()
+	if err != nil {
+		s.log.Error("journal recovery failed", "err", err)
+		return s
+	}
+	s.reconcileWarehouse(jobs)
+	s.recover(jobs)
 	return s
 }
 
@@ -576,20 +588,12 @@ func (s *server) publishMetrics() {
 	}
 }
 
-// recover reloads journaled jobs from the store: terminal jobs are
-// restored (a complete "done" journal rebuilds its aggregate from the
-// WAL — byte-identical, since cell results are pure functions of the
-// spec), interrupted jobs re-enter the run queue with their journaled
-// cells pre-folded so only the remainder simulates.
-func (s *server) recover() {
-	if s.store == nil {
-		return
-	}
-	jobs, err := s.store.Recover()
-	if err != nil {
-		s.log.Error("journal recovery failed", "err", err)
-		return
-	}
+// recover rebuilds the job table from the store's recovered jobs:
+// terminal jobs are restored (a complete "done" journal rebuilds its
+// aggregate from the WAL — byte-identical, since cell results are pure
+// functions of the spec), interrupted jobs re-enter the run queue with
+// their journaled cells pre-folded so only the remainder simulates.
+func (s *server) recover(jobs []jobstore.Job) {
 	// Bump the id sequence past every directory in the store — also
 	// the unrecoverable ones Recover skips — so a fresh submission can
 	// never collide with a leftover journal directory and end up
@@ -613,7 +617,7 @@ func (s *server) recover() {
 			hub:     newHub(),
 			wh:      s.wh,
 			done:    make(chan struct{}),
-			log:     s.log.With("job", rec.ID),
+			log:     s.log,
 			state:   StateQueued,
 			started: time.Now(),
 		}
@@ -759,7 +763,7 @@ func (s *server) submit(w http.ResponseWriter, r *http.Request) {
 	j.id = fmt.Sprintf("c%d", s.seq)
 	s.jobs[j.id] = j
 	s.mu.Unlock()
-	j.log = s.log.With("job", j.id)
+	j.log = s.log
 
 	if s.store != nil {
 		jn, err := s.store.Create(j.id, spec)

@@ -44,7 +44,31 @@ func postSpec(t testing.TB, ts *httptest.Server, spec campaign.Spec) map[string]
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
 	}
+	// The job outlives both the request and the test body. Stop it when
+	// the test ends, before a temporary datadir is removed: a job still
+	// writing its journal makes that removal fail.
+	if s, ok := ts.Config.Handler.(*server); ok {
+		id, _ := out["id"].(string)
+		t.Cleanup(func() { stopJob(t, s, id) })
+	}
 	return out
+}
+
+// stopJob cancels a job and waits until its runner has exited, which
+// is after its last journal write.
+func stopJob(t testing.TB, s *server, id string) {
+	s.mu.Lock()
+	j := s.jobs[id]
+	s.mu.Unlock()
+	if j == nil {
+		return // evicted
+	}
+	j.cancel()
+	select {
+	case <-j.done:
+	case <-time.After(30 * time.Second):
+		t.Errorf("job %s still running 30s after cancel", id)
+	}
 }
 
 func getStatus(t testing.TB, ts *httptest.Server, id string) Status {

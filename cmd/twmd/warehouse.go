@@ -7,6 +7,7 @@ import (
 	"strconv"
 
 	"twmarch/internal/campaign"
+	"twmarch/internal/jobstore"
 	"twmarch/internal/warehouse"
 )
 
@@ -28,21 +29,17 @@ func openWarehouse(datadir string, logger *slog.Logger) *warehouse.Warehouse {
 	return wh
 }
 
-// reconcileWarehouse audits the index against the journal set and
-// logs what it repaired — the startup step that fills an index whose
-// snapshot was missing or stale, and catches drift from a crash
+// reconcileWarehouse audits the index against the recovered journal
+// set and logs what it repaired — the startup step that fills an index
+// whose snapshot was missing or stale, and catches drift from a crash
 // between a WAL write and its index insert (or an evict that died
 // between removing the journal and the index entries). Runs before
 // any recovered job resumes, so repairs never race live ingest.
-func (s *server) reconcileWarehouse() {
-	if s.wh == nil || s.store == nil {
+func (s *server) reconcileWarehouse(jobs []jobstore.Job) {
+	if s.wh == nil {
 		return
 	}
-	stats, err := s.wh.Reconcile(s.store)
-	if err != nil {
-		s.log.Error("warehouse reconcile failed", "err", err)
-		return
-	}
+	stats := s.wh.ReconcileJobs(jobs)
 	s.log.Info("warehouse reconciled", "jobs", s.wh.NumJobs(),
 		"repaired", len(stats.Repaired), "removed", len(stats.Removed))
 }

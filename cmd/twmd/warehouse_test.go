@@ -213,3 +213,41 @@ func TestWarehouseRestartReconcile(t *testing.T) {
 		}
 	}
 }
+
+// TestRestartLoadsJournalsOnce pins start-up to one pass over the
+// journals: a restart over N journaled jobs, which both rebuilds the
+// job table and re-indexes every job into a missing snapshot, moves
+// the recovery counters by exactly one load per job.
+func TestRestartLoadsJournalsOnce(t *testing.T) {
+	dir := t.TempDir()
+	s1, ts1 := newWarehouseServer(t, dir)
+	const n = 3
+	for i := 0; i < n; i++ {
+		sub := postSpec(t, ts1, smallSpec())
+		id, _ := sub["id"].(string)
+		waitState(t, ts1, id, StateDone)
+	}
+	before := scrape(t, ts1)
+	ts1.Close()
+	if err := s1.wh.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(dir, warehouseFile)); err != nil {
+		t.Fatal(err)
+	}
+
+	_, ts2 := newWarehouseServer(t, dir)
+	after := scrape(t, ts2)
+	cells := smallSpec().CellCount()
+	for name, want := range map[string]int{
+		"twm_jobstore_recovered_jobs_total":  n,
+		"twm_jobstore_recovered_cells_total": n * cells,
+	} {
+		if d := after[name] - before[name]; d != float64(want) {
+			t.Errorf("restart over %d journaled jobs moved %s by %v, want %d", n, name, d, want)
+		}
+	}
+	if page := getQuery(t, ts2, url.Values{}); len(page.Results) != n*cells {
+		t.Fatalf("after restart the index holds %d records, want %d", len(page.Results), n*cells)
+	}
+}

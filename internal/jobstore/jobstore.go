@@ -21,6 +21,17 @@
 // The WAL is written one line per syscall without fsync: a torn tail
 // from a crash is detected on replay and dropped, costing only the
 // re-simulation of that cell.
+//
+// Recover is the store's one whole-store loader, and a restarted twmd
+// calls it once: the job table and the result index are both built
+// from the slice it returns. It loads the job directories on a fixed
+// set of runtime.GOMAXPROCS(0) goroutines, which it starts and waits
+// for; each loads one directory at a time, so at most that many
+// journal files are open at once, and writes the job into the slot of
+// its directory entry, so the result does not depend on which worker
+// loaded what. Each WAL is read through a buffer sized to the file,
+// capped at 64 KiB: a restart reads one WAL per journaled job, and a
+// settled job's WAL is typically about a kilobyte.
 package jobstore
 
 import (
@@ -30,9 +41,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"twmarch/internal/campaign"
 )
@@ -165,9 +178,9 @@ type terminalMarker struct {
 // missing or unreadable (a crash between Mkdir and the spec rename
 // leaves nothing recoverable); a malformed or torn WAL tail drops the
 // affected line and everything after it. Recover is the whole-store
-// sweep built on it; index consumers (the result warehouse's rebuild
-// and reconcile paths) use Load directly so repairing one job's index
-// entries never re-reads every journal.
+// loader built on it, and the one that start-up and the result
+// warehouse's rebuild and reconcile read through; Load serves a read
+// of one known job.
 func (s *Store) Load(id string) (Job, error) {
 	if err := validID(id); err != nil {
 		return Job{}, err
@@ -208,19 +221,40 @@ func (s *Store) WriteTrace(id, traceparent string) error {
 // aware: c2 before c10). Directories without a readable spec are
 // skipped — a crash between Mkdir and the spec rename leaves nothing
 // recoverable. A malformed or torn WAL tail drops the affected line
-// and everything after it; those cells simply re-simulate.
+// and everything after it; those cells simply re-simulate. The
+// directories load in parallel (see the package doc); every
+// goroutine has exited when Recover returns.
 func (s *Store) Recover() ([]Job, error) {
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
 		return nil, fmt.Errorf("jobstore: %v", err)
 	}
-	var jobs []Job
-	for _, e := range entries {
-		if !e.IsDir() {
-			continue
-		}
-		j, err := s.Load(e.Name())
-		if err != nil {
+	// loaded[i] is entries[i]'s job; a slot left with an empty ID (Load
+	// never returns one) is a skipped entry.
+	loaded := make([]Job, len(entries))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(entries)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(entries) {
+					return
+				}
+				if e := entries[i]; e.IsDir() {
+					if j, err := s.Load(e.Name()); err == nil {
+						loaded[i] = j
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	jobs := loaded[:0]
+	for _, j := range loaded {
+		if j.ID == "" {
 			continue
 		}
 		metRecoveredJobs.Inc()
@@ -255,10 +289,14 @@ func scanWAL(path string, visit func(campaign.CellResult)) (valid, size int64, e
 		return 0, 0, err
 	}
 	defer f.Close()
+	// Size the reader to the file (see the package doc); a file that
+	// grows after the Stat still reads whole, through more refills.
+	bufSize := int64(64 * 1024)
 	if fi, err := f.Stat(); err == nil {
 		size = fi.Size()
+		bufSize = min(bufSize, size)
 	}
-	rd := bufio.NewReaderSize(f, 64*1024)
+	rd := bufio.NewReaderSize(f, int(bufSize))
 	for {
 		line, err := rd.ReadBytes('\n')
 		if err != nil {

@@ -2,8 +2,12 @@ package jobstore
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
+	"sort"
 	"testing"
 
 	"twmarch/internal/campaign"
@@ -318,5 +322,133 @@ func TestDispatchLog(t *testing.T) {
 	}
 	if _, err := st.DispatchLog("../escape"); err == nil {
 		t.Error("invalid id accepted")
+	}
+}
+
+// TestRecoverParallelMatchesSerial pins the parallel loader to the
+// serial one it replaced: over a store that mixes every case Recover
+// handles, its result deep-equals a Load loop over the directory
+// listing under the same sort, and the recovery counters move once
+// per loaded job.
+func TestRecoverParallelMatchesSerial(t *testing.T) {
+	// Several workers even on a one-core runner, so the slots fill out
+	// of order.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	dir := t.TempDir()
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := testSpec()
+	spec.Words = []int{2, 3, 4, 5}
+	res := results(t, spec)
+	markers := []string{"done", "failed", "canceled", ""}
+	for i := 1; i <= 240; i++ {
+		id := fmt.Sprintf("c%d", i)
+		if i%10 == 0 {
+			id = fmt.Sprintf("job%d", i) // not twmd-shaped, still a job
+		}
+		j, err := st.Create(id, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range res[:i%(len(res)+1)] {
+			j.Emit(r)
+		}
+		if i%3 == 0 {
+			if err := st.WriteTrace(id, fmt.Sprintf("00-%032x-%016x-01", i, i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if m := markers[i%len(markers)]; m != "" {
+			err = j.Finish(m, "")
+		} else {
+			err = j.Close()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		wal := filepath.Join(dir, id, "wal.ndjson")
+		raw, err := os.ReadFile(wal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case len(raw) > 10 && i%7 == 0:
+			raw = raw[:len(raw)-10] // torn mid-record
+		case len(raw) > 0 && i%11 == 0:
+			raw = raw[:len(raw)-1] // intact record, newline lost
+		default:
+			continue
+		}
+		if err := os.WriteFile(wal, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A spec-less directory, a malformed spec and a stray file.
+	if err := os.Mkdir(filepath.Join(dir, "c500"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(filepath.Join(dir, "c501"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "c501", "spec.json"), []byte("{"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "README"), []byte("not a job"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []Job
+	cells := 0
+	for _, e := range entries {
+		if !e.IsDir() {
+			continue
+		}
+		if j, err := st.Load(e.Name()); err == nil {
+			want = append(want, j)
+			cells += len(j.Done)
+		}
+	}
+	sort.Slice(want, func(a, b int) bool {
+		if len(want[a].ID) != len(want[b].ID) {
+			return len(want[a].ID) < len(want[b].ID)
+		}
+		return want[a].ID < want[b].ID
+	})
+	if len(want) != 240 {
+		t.Fatalf("serial load found %d jobs, want 240", len(want))
+	}
+	covered := make(map[string]bool)
+	for _, j := range want {
+		covered["state "+j.State] = true
+		covered[fmt.Sprint("trace ", j.TraceParent != "")] = true
+	}
+	if len(covered) != len(markers)+2 {
+		t.Fatalf("fixture covers only %v", covered)
+	}
+
+	jobs0, cells0 := metRecoveredJobs.Value(), metRecoveredCells.Value()
+	got, err := st.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		for i := range want {
+			if i >= len(got) || !reflect.DeepEqual(got[i], want[i]) {
+				t.Fatalf("job %d of %d differs from the serial load (got %d jobs)", i, len(want), len(got))
+			}
+		}
+		t.Fatalf("recovered %d jobs, serial load %d", len(got), len(want))
+	}
+	if d := metRecoveredJobs.Value() - jobs0; d != float64(len(want)) {
+		t.Errorf("recovered-jobs counter moved %v, want %d", d, len(want))
+	}
+	if d := metRecoveredCells.Value() - cells0; d != float64(cells) {
+		t.Errorf("recovered-cells counter moved %v, want %d", d, cells)
 	}
 }

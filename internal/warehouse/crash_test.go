@@ -31,7 +31,8 @@ func TestWarehouseCrashHelper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jobs, err := doneJobs(store)
+	recovered, err := store.Recover()
+	jobs := onlyDone(recovered)
 	if err != nil || len(jobs) == 0 {
 		t.Fatalf("helper sees no jobs: %v", err)
 	}

@@ -17,7 +17,7 @@ func indexable(r campaign.CellResult) bool {
 // validResults canonicalizes a job's journaled cell results: the
 // indexable ones sorted by cell index, and of duplicate indices (a WAL
 // replayed over a resumed run can journal a cell twice) the first
-// occurrence, which is also the one insertion keeps. Reconcile holds
+// occurrence, which is also the one insertion keeps. ReconcileJobs holds
 // the index to exactly this set.
 func validResults(results []campaign.CellResult) []campaign.CellResult {
 	out := make([]campaign.CellResult, 0, len(results))
@@ -80,18 +80,19 @@ func (w *Warehouse) Ingester(id string) campaign.Sink {
 }
 
 // RebuildFromWAL builds a fresh index at path from the jobstore's
-// journals, writes its snapshot, and returns it. Only terminally done
-// jobs are indexed, and the snapshot depends on the records alone, so
-// two rebuilds of the same store write byte-identical files.
+// journals, loaded through Store.Recover, writes its snapshot, and
+// returns it. Only terminally done jobs are indexed, and the snapshot
+// depends on the records alone, so two rebuilds of the same store
+// write byte-identical files.
 func RebuildFromWAL(path string, _ Options, store *jobstore.Store) (*Warehouse, error) {
-	jobs, err := doneJobs(store)
+	jobs, err := store.Recover()
 	if err != nil {
 		return nil, err
 	}
 	w := newWarehouse(path)
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	for _, j := range jobs {
+	for _, j := range onlyDone(jobs) {
 		seq, _ := JobSeq(j.ID)
 		for _, r := range j.Done {
 			w.insertResultLocked(seq, r)
@@ -104,38 +105,25 @@ func RebuildFromWAL(path string, _ Options, store *jobstore.Store) (*Warehouse, 
 	return w, nil
 }
 
-// doneJobs loads every terminally done, indexable job from the store,
-// sorted by job sequence.
-func doneJobs(store *jobstore.Store) ([]jobstore.Job, error) {
-	ids, err := store.IDs()
-	if err != nil {
-		return nil, err
-	}
-	type seqID struct {
-		seq uint64
-		id  string
-	}
-	var seqs []seqID
-	for _, id := range ids {
-		if seq, ok := JobSeq(id); ok {
-			seqs = append(seqs, seqID{seq, id})
+// onlyDone picks the terminally done, indexable ("c<seq>") jobs out of
+// a recovered job list, in sequence order, so the index fills from its
+// low end up.
+func onlyDone(jobs []jobstore.Job) []*jobstore.Job {
+	var out []*jobstore.Job
+	for i := range jobs {
+		if _, ok := JobSeq(jobs[i].ID); ok && jobs[i].State == "done" {
+			out = append(out, &jobs[i])
 		}
 	}
-	sort.Slice(seqs, func(a, b int) bool { return seqs[a].seq < seqs[b].seq })
-	var jobs []jobstore.Job
-	for _, s := range seqs {
-		j, err := store.Load(s.id)
-		if err != nil {
-			continue // unrecoverable journal: nothing to index
-		}
-		if j.State == "done" {
-			jobs = append(jobs, j)
-		}
-	}
-	return jobs, nil
+	sort.SliceStable(out, func(a, b int) bool {
+		sa, _ := JobSeq(out[a].ID)
+		sb, _ := JobSeq(out[b].ID)
+		return sa < sb
+	})
+	return out
 }
 
-// ReconcileStats reports what Reconcile changed.
+// ReconcileStats reports what a reconcile changed.
 type ReconcileStats struct {
 	// Removed lists jobs dropped from the index: their WAL is gone or
 	// no longer terminally done (an evict or crash raced the index).
@@ -145,23 +133,31 @@ type ReconcileStats struct {
 	Repaired []string
 }
 
-// Reconcile audits the index against the jobstore and repairs drift
-// in both directions: indexed jobs without a terminally done WAL are
-// removed, and done WALs whose records the index does not hold
-// exactly are re-indexed from the WAL. It is the one repair path for
-// a snapshot that was missing, discarded, or stale at Open. cmd/twmd
-// runs it at startup, after recovery scans the datadir and before
-// resumed runs begin mutating either side.
+// Reconcile is ReconcileJobs over the store's journals, loaded through
+// Store.Recover. A caller that has already recovered the store passes
+// its jobs to ReconcileJobs instead of reading every journal again.
 func (w *Warehouse) Reconcile(store *jobstore.Store) (ReconcileStats, error) {
-	jobs, err := doneJobs(store)
+	jobs, err := store.Recover()
 	if err != nil {
 		return ReconcileStats{}, err
 	}
+	return w.ReconcileJobs(jobs), nil
+}
+
+// ReconcileJobs audits the index against jobs, the whole store as
+// Store.Recover returns it, and repairs drift in both directions:
+// indexed jobs without a terminally done WAL are removed, and done
+// WALs whose records the index does not hold exactly are re-indexed
+// from the WAL. It is the one repair path for a snapshot that was
+// missing, discarded, or stale at Open. cmd/twmd runs it at startup,
+// on the jobs its one recovery pass loaded, before any resumed run
+// begins mutating either side.
+func (w *Warehouse) ReconcileJobs(jobs []jobstore.Job) ReconcileStats {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	var stats ReconcileStats
 	done := make(map[uint64]bool, len(jobs))
-	for _, j := range jobs {
+	for _, j := range onlyDone(jobs) {
 		seq, _ := JobSeq(j.ID)
 		done[seq] = true
 		want := validResults(j.Done)
@@ -190,7 +186,7 @@ func (w *Warehouse) Reconcile(store *jobstore.Store) (ReconcileStats, error) {
 	}
 	sort.Strings(stats.Removed)
 	sort.Strings(stats.Repaired)
-	return stats, nil
+	return stats
 }
 
 // holdsLocked reports whether the index holds exactly the job's

@@ -23,8 +23,8 @@
 // The index persists as one snapshot file (see snapshot.go), written
 // by Close, Checkpoint and RebuildFromWAL through a temporary file and
 // a rename, and never fsynced. Open treats a missing, torn, foreign or
-// outdated snapshot as an empty index; the startup Reconcile against
-// the WALs is the one repair path.
+// outdated snapshot as an empty index; the startup reconcile
+// (ReconcileJobs) against the WALs is the one repair path.
 package warehouse
 
 import (
@@ -115,7 +115,7 @@ func newWarehouse(path string) *Warehouse {
 // Open loads the snapshot at path. A missing file opens as an empty
 // index, and so does one that is torn, foreign (the paged files of
 // earlier versions included) or of another format version: the index
-// is derived data, and Reconcile restores it from the WALs. Only a
+// is derived data, and a reconcile restores it from the WALs. Only a
 // file that exists but cannot be read is an error.
 func Open(path string, _ Options) (*Warehouse, error) {
 	w := newWarehouse(path)

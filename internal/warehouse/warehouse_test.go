@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"twmarch/internal/campaign"
@@ -429,5 +430,74 @@ func TestRecordValueRoundTrip(t *testing.T) {
 	enc := appendValue(nil, rec)
 	if _, _, err := readValue(1, 1, enc[:len(enc)-1]); err == nil {
 		t.Fatal("truncated value accepted")
+	}
+}
+
+// TestReconcileJobsMatchesReconcile runs TestReconcile's drift through
+// both entry points: ReconcileJobs over one Store.Recover must report
+// what Reconcile(store) reports and leave an index that saves to the
+// same snapshot bytes.
+func TestReconcileJobsMatchesReconcile(t *testing.T) {
+	dir := t.TempDir()
+	store := seedStore(t, filepath.Join(dir, "jobs"), 6)
+	var ws [2]*Warehouse
+	for i := range ws {
+		w, err := RebuildFromWAL(filepath.Join(dir, fmt.Sprintf("w%d.idx", i)), Options{}, store)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// TestReconcile's index drift: job 4 lost cells, one of job 5's
+		// records drifted.
+		drifted := gridResults()
+		drifted[7].Detected--
+		for job, results := range map[uint64][]campaign.CellResult{4: gridResults()[:3], 5: drifted} {
+			if _, err := w.RemoveJobID(JobID(job)); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.IndexJob(JobID(job), results); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ws[i] = w
+	}
+	// Its journal drift: job 2's WAL is gone, job 7 is done but was
+	// never indexed.
+	if err := store.Remove(JobID(2)); err != nil {
+		t.Fatal(err)
+	}
+	j, err := store.Create(JobID(7), campaign.Spec{Name: "t"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range gridResults() {
+		j.Emit(r)
+	}
+	if err := j.Finish("done", ""); err != nil {
+		t.Fatal(err)
+	}
+
+	want, err := ws[0].Reconcile(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs, err := store.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := ws[1].ReconcileJobs(jobs)
+	if !reflect.DeepEqual(got, want) || fmt.Sprint(got) != "{[c2] [c4 c5 c7]}" {
+		t.Fatalf("ReconcileJobs = %+v, Reconcile = %+v, want removed [c2], repaired [c4 c5 c7]", got, want)
+	}
+	var snaps [2][]byte
+	for i, w := range ws {
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if snaps[i], err = os.ReadFile(w.path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(snaps[0], snaps[1]) {
+		t.Fatalf("snapshots differ: %d vs %d bytes", len(snaps[0]), len(snaps[1]))
 	}
 }

@@ -1,13 +1,15 @@
-// Warehouse read-path harness: the benchmarks behind the PERFORMANCE.md
-// "read path" numbers and the scripts/benchdiff gate entries
-// BenchmarkWarehouseQuery / BenchmarkWarehouseIngest /
-// BenchmarkWarehouseWALReplay. All three run against a shared corpus of
-// corpusJobs journaled campaigns (built once per test binary, removed
-// by TestMain), so the query/replay pair measures the same question —
-// "every result for one grid cell across the whole job history" —
-// answered by the in-memory index versus by replaying every WAL the
-// way a store without the index would have to. TestWarehouseQuerySpeedup
-// turns that ratio into the checked-in acceptance bound.
+// Warehouse read-path and start-up harness: the benchmarks behind the
+// PERFORMANCE.md "read path" and "start-up" numbers and the
+// scripts/benchdiff gate entries BenchmarkWarehouseQuery /
+// BenchmarkWarehouseIngest / BenchmarkWarehouseWALReplay /
+// BenchmarkStartupRecover. All but the ingest one run against a shared
+// corpus of corpusJobs journaled campaigns (built once per test
+// binary, removed by TestMain), so the query/replay pair measures the
+// same question — "every result for one grid cell across the whole
+// job history" — answered by the in-memory index versus by replaying
+// every WAL the way a store without the index would have to.
+// TestWarehouseQuerySpeedup turns that ratio into the checked-in
+// acceptance bound.
 package twmarch_test
 
 import (
@@ -228,6 +230,28 @@ func BenchmarkWarehouseWALReplay(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(records), "records")
+}
+
+// BenchmarkStartupRecover measures the journal work every twmd restart
+// over the corpus does before it serves: one Store.Recover of every
+// journal, then ReconcileJobs of the built index against the recovered
+// jobs, which finds no drift. The job-table build that follows in twmd
+// is not included.
+func BenchmarkStartupRecover(b *testing.B) {
+	store, wh := warehouseCorpus(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		jobs, err := store.Recover()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(jobs) != corpusJobs {
+			b.Fatalf("recovered %d jobs, want %d", len(jobs), corpusJobs)
+		}
+		if st := wh.ReconcileJobs(jobs); len(st.Removed)+len(st.Repaired) != 0 {
+			b.Fatalf("reconcile of the built index found drift: %+v", st)
+		}
+	}
 }
 
 // BenchmarkWarehouseIngest measures the write path: one cell per op
