@@ -14,8 +14,10 @@ import (
 // /events subscribers replay the backlog and then follow the live
 // tail. Each result is marshaled to its NDJSON line once, on Emit —
 // not per subscriber — and lines are retained for the life of the job
-// so a subscriber attaching late, or after a restart when the hub is
-// re-seeded from the journal, still sees every cell exactly once.
+// so a subscriber attaching late, or after a restart when a resumed
+// job's hub is re-seeded from the journal, still sees every cell
+// exactly once. A recovered terminal job has no hub: each /events
+// request seeds a closed one from the journal (replayHub).
 type hub struct {
 	mu    sync.Mutex
 	lines [][]byte
@@ -81,6 +83,23 @@ func (h *hub) from(i int) ([][]byte, bool, <-chan struct{}) {
 	return batch, h.done, h.wake
 }
 
+// replayHub returns a closed hub holding a recovered terminal job's
+// events: the cells recovery kept, in WAL order, which is the order
+// the job's hub saw them before the restart. A job with nothing
+// journaled answers from its header alone.
+func (s *server) replayHub(j *job) (*hub, error) {
+	h := newHub()
+	if j.tally.Cells > 0 {
+		_, cells, err := s.journaled(j)
+		if err != nil {
+			return nil, err
+		}
+		h.seed(cells)
+	}
+	h.close()
+	return h, nil
+}
+
 // events streams a job's per-cell results as NDJSON: the backlog
 // first, then each new result as it lands, until the job reaches a
 // terminal state or the client disconnects. Each line is one compact
@@ -89,6 +108,14 @@ func (s *server) events(w http.ResponseWriter, r *http.Request, j *job) {
 	if r.Method != http.MethodGet {
 		writeErr(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
 		return
+	}
+	h := j.hub
+	if h == nil {
+		var err error
+		if h, err = s.replayHub(j); err != nil {
+			s.journalReadFailed(w, j, err)
+			return
+		}
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("Cache-Control", "no-store")
@@ -105,7 +132,7 @@ func (s *server) events(w http.ResponseWriter, r *http.Request, j *job) {
 	defer idle.Stop()
 	i := 0
 	for {
-		batch, done, wake := j.hub.from(i)
+		batch, done, wake := h.from(i)
 		for _, line := range batch {
 			rc.SetWriteDeadline(time.Now().Add(deadlineSlack))
 			if _, err := w.Write(line); err != nil {

@@ -15,11 +15,15 @@
 // ETA while a grid runs, and GET /campaigns/{id}/events follows the
 // per-cell result stream as NDJSON. With -datadir every submitted spec
 // and completed cell is journaled (internal/jobstore): a restarted
-// twmd recovers its jobs, replays the journaled cells, and re-simulates
-// only the remainder — the recovered canonical aggregate is
-// byte-identical to an uninterrupted run. On SIGINT/SIGTERM the server
-// stops accepting submissions, drains running jobs for up to -drain,
-// and flushes the journal before exiting.
+// twmd recovers its jobs. An interrupted job resumes with its
+// journaled cells pre-folded and re-simulates only the remainder — the
+// recovered canonical aggregate is byte-identical to an uninterrupted
+// run. A terminal job comes back as a small header (state, grid size,
+// tallies), and its results and events are read from its journal on
+// each request, so a long job history costs memory per job, not per
+// cell. On SIGINT/SIGTERM the server stops accepting submissions,
+// drains running jobs for up to -drain, and flushes the journal before
+// exiting.
 //
 // With -datadir the daemon also maintains the indexed result
 // warehouse (internal/warehouse) next to the journals: every settled
@@ -142,7 +146,9 @@ func configureTracing(sample float64, slow time.Duration) {
 // Per-job rate gauges: the one source of truth for cells_per_sec and
 // eta_ns — published from the engine's Progress, read back by both the
 // status endpoint and /metrics scrapes (via the registry's OnGather
-// hook), and deleted when the job is evicted.
+// hook), and deleted when the job is evicted. Only jobs that run in
+// this process have a series; a recovered terminal job never ran here
+// and reports 0 for both.
 var (
 	metJobRate = obs.NewGauge("twm_job_cells_per_sec",
 		"live simulation rate per job, in grid cells per second", "job")
@@ -298,15 +304,29 @@ const (
 	StateCanceled = "canceled"
 )
 
-// job is one submitted campaign and its lifecycle. The aggregator and
-// hub are live while the engine runs: status polls snapshot the
-// aggregator, event subscribers follow the hub.
+// job is one submitted campaign and its lifecycle. What it holds
+// depends on where it settles (see ARCHITECTURE.md, "Result event
+// flow"):
+//
+//   - a job that runs in this process has its spec, Progress,
+//     aggregator and hub: status polls read the aggregator's counters,
+//     event subscribers follow the hub. At settle it freezes the
+//     counters into tally, releases the aggregator, and keeps its
+//     final aggregate (done jobs) and the hub's backlog;
+//   - a terminal job restored at start-up is a header: id, name,
+//     state, error, grid size and tally. It has no spec, Progress,
+//     aggregator or hub; its results and events are read back from its
+//     journal on each request (server.journaled).
 type job struct {
-	id      string
-	spec    campaign.Spec
-	cells   int
-	prog    *campaign.Progress
-	agg     *campaign.Aggregator
+	id    string
+	name  string
+	cells int
+	// spec, prog and agg are set while the job can run; agg is nil once
+	// it settles, spec and prog are nil/zero for a recovered header.
+	spec campaign.Spec
+	prog *campaign.Progress
+	agg  *campaign.Aggregator
+	// hub carries the job's events; nil for a recovered header.
 	hub     *hub
 	journal *jobstore.Journal // nil without -datadir
 	// wh indexes the job's terminal results for /campaigns/query; nil
@@ -326,13 +346,26 @@ type job struct {
 	// journal without a terminal marker so a restart resumes it.
 	abandoned atomic.Bool
 
-	mu       sync.Mutex
-	state    string
-	errMsg   string
+	mu     sync.Mutex
+	state  string
+	errMsg string
+	// tally is the fold's counters once the job is terminal: frozen at
+	// settle, or counted from the journal at recovery.
+	tally campaign.Stats
+	// aggFinal is the aggregate of a done job settled in this process;
+	// nil for a recovered header, whose aggregate is read on demand.
 	aggFinal *campaign.Aggregate
 	started  time.Time
 	finished time.Time
 }
+
+// settledDone is the done channel of every recovered terminal job:
+// there is no runner to wait for.
+var settledDone = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
 
 // Status is the wire form of a job's state. While the job runs, the
 // coverage block is the live partial fold and the timing block is
@@ -388,17 +421,29 @@ func (j *job) publishRates() (rate, eta *obs.Gauge) {
 }
 
 func (j *job) status() Status {
-	rate, eta := j.publishRates()
+	// A recovered header never ran here: its rate and ETA are 0, and it
+	// publishes no gauge series.
+	var rate, eta float64
+	var runElapsed time.Duration
+	var done int64
+	if j.prog != nil {
+		rg, eg := j.publishRates()
+		rate, eta = rg.Value(), eg.Value()
+		runElapsed = j.prog.Elapsed()
+		done = j.prog.Done()
+	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	end := j.finished
 	if end.IsZero() {
 		end = time.Now()
 	}
-	st := j.agg.Stats()
+	st := j.tally
+	if j.agg != nil {
+		st = j.agg.Stats()
+	}
 	// The aggregator leads Progress for a journal-recovered job that
 	// hasn't re-entered the engine yet; take whichever is ahead.
-	done := j.prog.Done()
 	if n := int64(st.Cells); n > done {
 		done = n
 	}
@@ -415,16 +460,16 @@ func (j *job) status() Status {
 	}
 	return Status{
 		ID:           j.id,
-		Name:         j.spec.Name,
+		Name:         j.name,
 		State:        j.state,
 		Cells:        j.cells,
 		Done:         done,
 		Fraction:     fraction,
 		Error:        j.errMsg,
 		ElapsedNS:    end.Sub(j.started).Nanoseconds(),
-		RunElapsedNS: j.prog.Elapsed().Nanoseconds(),
-		CellsPerSec:  rate.Value(),
-		ETANS:        int64(eta.Value()),
+		RunElapsedNS: runElapsed.Nanoseconds(),
+		CellsPerSec:  rate,
+		ETANS:        int64(eta),
 		Faults:       st.Faults,
 		Detected:     st.Detected,
 		Coverage:     coverage,
@@ -578,7 +623,9 @@ func (s *server) publishMetrics() {
 		StateFailed: 0, StateCanceled: 0,
 	}
 	for _, j := range jobs {
-		j.publishRates()
+		if j.prog != nil {
+			j.publishRates()
+		}
 		j.mu.Lock()
 		counts[j.state]++
 		j.mu.Unlock()
@@ -589,10 +636,11 @@ func (s *server) publishMetrics() {
 }
 
 // recover rebuilds the job table from the store's recovered jobs:
-// terminal jobs are restored (a complete "done" journal rebuilds its
-// aggregate from the WAL — byte-identical, since cell results are pure
-// functions of the spec), interrupted jobs re-enter the run queue with
-// their journaled cells pre-folded so only the remainder simulates.
+// terminal jobs (done with a complete WAL, failed or canceled) are
+// restored as headers, whose results and events journaled reads back
+// on demand — byte-identical, since cell results are pure functions of
+// the spec; interrupted jobs re-enter the run queue with their
+// journaled cells pre-folded so only the remainder simulates.
 func (s *server) recover(jobs []jobstore.Job) {
 	// Bump the id sequence past every directory in the store — also
 	// the unrecoverable ones Recover skips — so a fresh submission can
@@ -608,81 +656,150 @@ func (s *server) recover(jobs []jobstore.Job) {
 		}
 	}
 	for _, rec := range jobs {
-		j := &job{
-			id:      rec.ID,
-			spec:    rec.Spec,
-			cells:   rec.Spec.CellCount(),
-			prog:    &campaign.Progress{},
-			agg:     campaign.NewAggregator(rec.Spec),
-			hub:     newHub(),
-			wh:      s.wh,
-			done:    make(chan struct{}),
-			log:     s.log,
-			state:   StateQueued,
-			started: time.Now(),
-		}
-		// Replay the WAL through the same validation the engine would
-		// apply: only clean results matching the spec's own expansion
-		// count. A corrupt entry is dropped and its cell re-simulates;
-		// so is any errored cell — a deterministic failure reproduces
-		// identically, and a cancellation artifact from an older binary
-		// must not be resurrected as a real result.
 		cells, err := rec.Spec.Cells()
 		if err != nil {
-			j.state, j.errMsg = StateFailed, fmt.Sprintf("journal recovery: %v", err)
-			j.finished = time.Now()
-			close(j.done)
-			j.hub.close()
-			s.jobs[j.id] = j
+			s.jobs[rec.ID] = s.header(rec, StateFailed, fmt.Sprintf("journal recovery: %v", err), campaign.Stats{})
 			continue
 		}
-		var seeded []campaign.CellResult
-		for _, r := range rec.Done {
-			if r.Err == "" && r.Index >= 0 && r.Index < len(cells) && r.Cell == cells[r.Index] && !j.agg.Has(r.Index) {
-				j.agg.Add(r)
-				seeded = append(seeded, r)
-			}
+		seeded := walCells(rec.Done, cells)
+		switch {
+		case rec.State == StateDone && len(seeded) == len(cells):
+			s.jobs[rec.ID] = s.header(rec, StateDone, "", tallyOf(seeded))
+		case rec.State == StateFailed || rec.State == StateCanceled:
+			s.jobs[rec.ID] = s.header(rec, rec.State, rec.Err, tallyOf(seeded))
+		default:
+			// Interrupted, or a "done" marker with an incomplete WAL.
+			s.resume(rec, seeded)
 		}
-		j.hub.seed(seeded)
-		s.jobs[j.id] = j
-
-		if rec.State == StateDone && j.agg.Added() == len(cells) {
-			j.state = StateDone
-			j.aggFinal = j.agg.Snapshot()
-			j.finished = time.Now()
-			close(j.done)
-			j.hub.close()
-			continue
-		}
-		if rec.State == StateFailed || rec.State == StateCanceled {
-			j.state, j.errMsg = rec.State, rec.Err
-			j.finished = time.Now()
-			close(j.done)
-			j.hub.close()
-			continue
-		}
-		// Interrupted (or a "done" marker with an incomplete WAL):
-		// resume. Reopen the journal so newly simulated cells append.
-		jn, err := s.store.Reopen(rec.ID)
-		if err != nil {
-			j.logger().Warn("reopen journal failed, job will run unjournaled", "err", err)
-		} else {
-			j.journal = jn
-		}
-		ctx, cancel := context.WithCancel(context.Background())
-		j.cancel = cancel
-		// Resume the job's journaled trace: the new root span is a remote
-		// child of the pre-restart one, so the submitter's trace id spans
-		// the crash. A missing or corrupt trace file starts a fresh trace.
-		j.col = tracing.NewCollector(jobCollectorCap)
-		ctx = tracing.ContextWithCollector(ctx, j.col)
-		parent, _ := tracing.ParseTraceParent(rec.TraceParent)
-		ctx, j.span = tracing.StartRemote(ctx, "job", tracing.KindInternal, parent)
-		j.span.SetAttr("job", j.id)
-		j.span.SetAttr("resumed", "true")
-		j.logger().Info("recovered job, resuming", "journaled", len(seeded), "cells", len(cells))
-		s.run(ctx, j)
 	}
+}
+
+// resume puts an interrupted job back in the run queue with its
+// journaled cells pre-folded, reopening its journal so newly simulated
+// cells append.
+func (s *server) resume(rec jobstore.Job, seeded []campaign.CellResult) {
+	j := &job{
+		id:      rec.ID,
+		name:    rec.Spec.Name,
+		spec:    rec.Spec,
+		cells:   rec.Spec.CellCount(),
+		prog:    &campaign.Progress{},
+		agg:     campaign.NewAggregator(rec.Spec),
+		hub:     newHub(),
+		wh:      s.wh,
+		done:    make(chan struct{}),
+		log:     s.log,
+		state:   StateQueued,
+		started: time.Now(),
+	}
+	for _, r := range seeded {
+		j.agg.Add(r)
+	}
+	j.hub.seed(seeded)
+	s.jobs[j.id] = j
+	jn, err := s.store.Reopen(rec.ID)
+	if err != nil {
+		j.logger().Warn("reopen journal failed, job will run unjournaled", "err", err)
+	} else {
+		j.journal = jn
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	j.cancel = cancel
+	// Resume the job's journaled trace: the new root span is a remote
+	// child of the pre-restart one, so the submitter's trace id spans
+	// the crash. A missing or corrupt trace file starts a fresh trace.
+	j.col = tracing.NewCollector(jobCollectorCap)
+	ctx = tracing.ContextWithCollector(ctx, j.col)
+	parent, _ := tracing.ParseTraceParent(rec.TraceParent)
+	ctx, j.span = tracing.StartRemote(ctx, "job", tracing.KindInternal, parent)
+	j.span.SetAttr("job", j.id)
+	j.span.SetAttr("resumed", "true")
+	j.logger().Info("recovered job, resuming", "journaled", len(seeded), "cells", j.cells)
+	s.run(ctx, j)
+}
+
+// header builds the table entry of a recovered terminal job: the
+// header alone, its cells left in the journal.
+func (s *server) header(rec jobstore.Job, state, errMsg string, tally campaign.Stats) *job {
+	now := time.Now()
+	return &job{
+		id:       rec.ID,
+		name:     rec.Spec.Name,
+		cells:    rec.Spec.CellCount(),
+		done:     settledDone,
+		log:      s.log,
+		state:    state,
+		errMsg:   errMsg,
+		tally:    tally,
+		started:  now,
+		finished: now,
+	}
+}
+
+// walCells returns the journaled results recovery keeps, in WAL order:
+// the same validation the engine would apply — only clean results
+// matching the spec's own expansion, each cell once. A corrupt entry is
+// dropped and its cell re-simulates; so is any errored cell — a
+// deterministic failure reproduces identically, and a cancellation
+// artifact from an older binary must not be resurrected as a real
+// result.
+func walCells(wal []campaign.CellResult, cells []campaign.Cell) []campaign.CellResult {
+	seen := make([]bool, len(cells))
+	var kept []campaign.CellResult
+	for _, r := range wal {
+		if r.Err == "" && r.Index >= 0 && r.Index < len(cells) && r.Cell == cells[r.Index] && !seen[r.Index] {
+			seen[r.Index] = true
+			kept = append(kept, r)
+		}
+	}
+	return kept
+}
+
+// tallyOf counts what an aggregator folding the clean results rs would
+// report in its Stats.
+func tallyOf(rs []campaign.CellResult) campaign.Stats {
+	st := campaign.Stats{Cells: len(rs)}
+	for _, r := range rs {
+		st.Faults += r.Faults
+		st.Detected += r.Detected
+	}
+	return st
+}
+
+// journaled reads a recovered header's journal back — one Store.Load —
+// through recovery's validation, and returns the spec and the cells
+// recovery kept, in WAL order. A journal that no longer holds what
+// recovery counted (removed, or rewritten behind the server's back)
+// fails the read rather than serving other bytes.
+func (s *server) journaled(j *job) (campaign.Spec, []campaign.CellResult, error) {
+	rec, err := s.store.Load(j.id)
+	if err != nil {
+		return campaign.Spec{}, nil, err
+	}
+	cells, err := rec.Spec.Cells()
+	if err != nil {
+		return campaign.Spec{}, nil, fmt.Errorf("journal recovery: %v", err)
+	}
+	kept := walCells(rec.Done, cells)
+	if tallyOf(kept) != j.tally {
+		return campaign.Spec{}, nil, fmt.Errorf("journal of %s no longer holds the cells recovered at start-up", j.id)
+	}
+	return rec.Spec, kept, nil
+}
+
+// journalReadFailed answers a request whose journal read failed. A job
+// evicted meanwhile answers as a request after the eviction would;
+// otherwise the journal changed behind the server's back.
+func (s *server) journalReadFailed(w http.ResponseWriter, j *job, err error) {
+	s.mu.Lock()
+	evicted := s.jobs[j.id] != j
+	s.mu.Unlock()
+	if evicted {
+		writeErr(w, http.StatusNotFound, "no campaign %q", j.id)
+		return
+	}
+	j.logger().Warn("journal read failed", "err", err)
+	writeErr(w, http.StatusInternalServerError, "campaign %s: read journal: %v", j.id, err)
 }
 
 func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.handler.ServeHTTP(w, r) }
@@ -747,6 +864,7 @@ func (s *server) submit(w http.ResponseWriter, r *http.Request) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	j := &job{
+		name:    spec.Name,
 		spec:    spec,
 		cells:   spec.CellCount(),
 		prog:    &campaign.Progress{},
@@ -862,12 +980,17 @@ func (s *server) run(ctx context.Context, j *job) {
 }
 
 // settle records the job's terminal state, closes the event stream,
-// and finishes the journal. An abandoned (drain-interrupted) job skips
-// the terminal marker so a restart resumes it from the WAL.
+// and finishes the journal. The aggregator's counters are frozen into
+// the tally and the aggregator itself released: the final aggregate
+// and the hub's backlog are all a settled job serves. An abandoned
+// (drain-interrupted) job skips the terminal marker so a restart
+// resumes it from the WAL.
 func (j *job) settle(state, errMsg string, agg *campaign.Aggregate) {
 	j.mu.Lock()
 	j.finished = time.Now()
 	j.state, j.errMsg, j.aggFinal = state, errMsg, agg
+	j.tally = j.agg.Stats()
+	j.agg = nil
 	j.mu.Unlock()
 	switch state {
 	case StateDone:
@@ -1065,6 +1188,19 @@ func (s *server) results(w http.ResponseWriter, r *http.Request, j *job) {
 		writeErr(w, http.StatusConflict, "campaign %s still %s (%d/%d cells)",
 			j.id, state, j.prog.Done(), j.prog.Total())
 	case StateDone:
+		if agg == nil {
+			// A recovered header: fold its journal again.
+			spec, cells, err := s.journaled(j)
+			if err != nil {
+				s.journalReadFailed(w, j, err)
+				return
+			}
+			g := campaign.NewAggregator(spec)
+			for _, c := range cells {
+				g.Add(c)
+			}
+			agg = g.Snapshot()
+		}
 		if r.URL.Query().Get("format") == "text" {
 			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 			io.WriteString(w, agg.Render())

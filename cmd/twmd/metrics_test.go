@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -171,5 +172,42 @@ func TestStatusServesGaugeRates(t *testing.T) {
 	}
 	if got := after[`twm_job_eta_ns{job="`+id+`"}`]; int64(got) != st.ETANS {
 		t.Errorf("status eta_ns %v != gauge %v", st.ETANS, got)
+	}
+}
+
+// TestRecoveredJobsPublishNoRateGauges pins the per-job gauges to jobs
+// that run in this process: after a restart over N terminal jobs,
+// /metrics carries no twm_job_cells_per_sec or twm_job_eta_ns series
+// for them, their status reports 0 for both, and twm_jobs still counts
+// every one. The ids are unused elsewhere in the package, whose tests
+// share the process-wide registry.
+func TestRecoveredJobsPublishNoRateGauges(t *testing.T) {
+	dir := t.TempDir()
+	st := openStore(t, dir)
+	spec := heapSpec()
+	cells := runSpec(t, spec).Cells
+	const n = 5
+	ids := make([]string, n)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("c%d", 9001+i)
+		journalCells(t, st, ids[i], spec, cells, StateDone, "")
+	}
+	ts := httptest.NewServer(newServer(campaign.Engine{}, 2, openStore(t, dir), nil, nil))
+	defer ts.Close()
+	for _, id := range ids {
+		if s := getStatus(t, ts, id); s.CellsPerSec != 0 || s.ETANS != 0 {
+			t.Errorf("recovered job %s reports rate %v, eta %d", id, s.CellsPerSec, s.ETANS)
+		}
+	}
+	got := scrape(t, ts)
+	for _, id := range ids {
+		for _, name := range []string{"twm_job_cells_per_sec", "twm_job_eta_ns"} {
+			if _, ok := got[name+`{job="`+id+`"}`]; ok {
+				t.Errorf("recovered job %s has a %s series", id, name)
+			}
+		}
+	}
+	if d := got[`twm_jobs{state="done"}`]; d != n {
+		t.Errorf(`twm_jobs{state="done"} = %v, want %d`, d, n)
 	}
 }

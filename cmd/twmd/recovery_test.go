@@ -2,11 +2,15 @@ package main
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -202,29 +206,107 @@ func TestRecoverRejectedSpecFails(t *testing.T) {
 	waitState(t, ts, id, StateDone)
 }
 
+// journalCells journals a terminal job directly through the store:
+// its spec, the given results in the given (WAL) order, and the
+// terminal marker.
+func journalCells(t testing.TB, st *jobstore.Store, id string, spec campaign.Spec, cells []campaign.CellResult, state, errMsg string) {
+	t.Helper()
+	jn, err := st.Create(id, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range cells {
+		jn.Emit(r)
+	}
+	if err := jn.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if err := jn.Finish(state, errMsg); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// runSpec returns the aggregate of an uninterrupted run of spec.
+func runSpec(t testing.TB, spec campaign.Spec) *campaign.Aggregate {
+	t.Helper()
+	agg, err := campaign.Engine{}.Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return agg
+}
+
+// settledReads is what a late reader of a settled job gets: its status
+// with the timing fields zeroed, and the code and body of /results,
+// /results?format=text and /events.
+type settledReads struct {
+	status                Status
+	results, text, events string
+}
+
+func readSettled(t testing.TB, ts *httptest.Server, id string) settledReads {
+	t.Helper()
+	st := getStatus(t, ts, id)
+	st.ElapsedNS, st.RunElapsedNS, st.CellsPerSec, st.ETANS = 0, 0, 0, 0
+	get := func(path string) string {
+		resp, err := http.Get(ts.URL + "/campaigns/" + id + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := readAll(resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf("%d %s", resp.StatusCode, body)
+	}
+	return settledReads{status: st, results: get("/results"), text: get("/results?format=text"), events: get("/events")}
+}
+
+// eventLines is the /events body of results rs: one compact JSON line
+// each, in order.
+func eventLines(t testing.TB, rs []campaign.CellResult) string {
+	t.Helper()
+	var b strings.Builder
+	for _, r := range rs {
+		line, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.Write(line)
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
 // TestRecoverTerminalJobs pins the restart behaviour for finished
-// jobs: a completed job is restored as done with its aggregate rebuilt
-// from the WAL (byte-identical), and a canceled job keeps its terminal
-// state instead of resuming.
+// jobs: a done job, a canceled job that journaled some cells and a
+// failed job come back in their terminal state, never resumed, and
+// serve a late reader the same bytes after the restart as before it —
+// status (timing fields aside), /results, ?format=text and /events,
+// whose lines keep WAL order. A recovered job is restored as a header
+// and read back from its journal per request; evicting it removes the
+// journal too.
 func TestRecoverTerminalJobs(t *testing.T) {
 	dir := t.TempDir()
+	// The engine never fails a validated spec, so the failed job is
+	// journaled directly: three cells, out of grid order, then the
+	// marker.
+	failedSpec := smallSpec()
+	failedSpec.Name = "to-fail"
+	all := runSpec(t, failedSpec).Cells
+	failedWAL := []campaign.CellResult{all[5], all[0], all[3]}
+	const idFailed = "c1"
+	journalCells(t, openStore(t, dir), idFailed, failedSpec, failedWAL, StateFailed, "worker fleet lost")
+
 	s1 := newServer(campaign.Engine{}, 2, openStore(t, dir), nil, nil)
 	ts1 := httptest.NewServer(s1)
 
 	sub := postSpec(t, ts1, smallSpec())
 	idDone, _ := sub["id"].(string)
 	waitState(t, ts1, idDone, StateDone)
-	resp, err := http.Get(ts1.URL + "/campaigns/" + idDone + "/results")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := readAll(resp)
-	if err != nil {
-		t.Fatal(err)
-	}
 
-	// Big enough that the cancel below always lands mid-run, even on
-	// the bit-parallel lane path.
+	// Big enough that the cancel below lands mid-run, after the first
+	// cells are journaled, even on the bit-parallel lane path.
 	slow := smallSpec()
 	slow.Name = "to-cancel"
 	slow.Words = []int{512, 768, 1024}
@@ -232,42 +314,57 @@ func TestRecoverTerminalJobs(t *testing.T) {
 	slow.Workers = 1
 	sub2 := postSpec(t, ts1, slow)
 	idCanceled, _ := sub2["id"].(string)
-	resp, err = http.Post(ts1.URL+"/campaigns/"+idCanceled+"/cancel", "application/json", nil)
+	for getStatus(t, ts1, idCanceled).Done == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	resp, err := http.Post(ts1.URL+"/campaigns/"+idCanceled+"/cancel", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	waitState(t, ts1, idCanceled, StateCanceled)
+
+	ids := []string{idDone, idCanceled, idFailed}
+	before := make(map[string]settledReads)
+	for _, id := range ids {
+		before[id] = readSettled(t, ts1, id)
+	}
 	ts1.Close()
+
+	// What the late reader got is what the job held: the done job's
+	// aggregate, some but not all cells of the canceled one, and the
+	// failed job's journaled cells in WAL order.
+	if b := before[idDone]; b.status.State != StateDone || !strings.HasPrefix(b.results, "200 ") {
+		t.Fatalf("done job before the restart: %+v %.200s", b.status, b.results)
+	}
+	if st := before[idCanceled].status; st.State != StateCanceled || st.Done == 0 || st.Done == int64(st.Cells) {
+		t.Fatalf("canceled job before the restart: %+v, want a strict partial", st)
+	}
+	if b := before[idFailed]; b.status.State != StateFailed || b.status.Done != int64(len(failedWAL)) ||
+		b.events != "200 "+eventLines(t, failedWAL) || !strings.HasPrefix(b.results, "410 ") {
+		t.Fatalf("failed job before the restart: %+v\n%s\n%s", b.status, b.results, b.events)
+	}
 
 	s2 := newServer(campaign.Engine{}, 2, openStore(t, dir), nil, nil)
 	ts2 := httptest.NewServer(s2)
 	defer ts2.Close()
-
-	// The done job serves its results immediately, byte-identical.
-	st := getStatus(t, ts2, idDone)
-	if st.State != StateDone {
-		t.Fatalf("recovered finished job is %q", st.State)
-	}
-	resp, err = http.Get(ts2.URL + "/campaigns/" + idDone + "/results")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := readAll(resp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("recovered results returned %s", resp.Status)
-	}
-	if string(got) != string(want) {
-		t.Error("recovered done aggregate diverges from the original")
-	}
-
-	// The canceled job stays canceled — no surprise resurrection.
-	st = getStatus(t, ts2, idCanceled)
-	if st.State != StateCanceled {
-		t.Fatalf("recovered canceled job is %q", st.State)
+	for _, id := range ids {
+		if s2.jobs[id].hub != nil || s2.jobs[id].aggFinal != nil {
+			t.Errorf("recovered job %s holds its cells in memory", id)
+		}
+		after := readSettled(t, ts2, id)
+		if after.status != before[id].status {
+			t.Errorf("job %s status after the restart:\n%+v\nbefore:\n%+v", id, after.status, before[id].status)
+		}
+		for name, pair := range map[string][2]string{
+			"/results":             {after.results, before[id].results},
+			"/results?format=text": {after.text, before[id].text},
+			"/events":              {after.events, before[id].events},
+		} {
+			if pair[0] != pair[1] {
+				t.Errorf("job %s %s after the restart:\n%.600s\nbefore:\n%.600s", id, name, pair[0], pair[1])
+			}
+		}
 	}
 
 	// Evicting a recovered job removes its journal too.
@@ -285,5 +382,171 @@ func TestRecoverTerminalJobs(t *testing.T) {
 		if j.ID == idDone {
 			t.Fatal("evicted job still journaled")
 		}
+	}
+}
+
+// heapSpec is a four-cell campaign shaped like the jobs of a long
+// history: two tests, one width, one size, both schemes, SAF only.
+func heapSpec() campaign.Spec {
+	return campaign.Spec{
+		Name:    "history",
+		Tests:   []string{"MATS", "March C-"},
+		Widths:  []int{4},
+		Words:   []int{8},
+		Schemes: []string{campaign.SchemeTWM, campaign.SchemeOne},
+		Classes: []string{"SAF"},
+		Seed:    5,
+	}
+}
+
+// TestRecoveredJobHeap pins what a job history costs after a restart:
+// a terminal job is restored as a header, without its cells, so the
+// live heap grows by at most 2 KB per recovered four-cell job. A table
+// that keeps each job's aggregator, final aggregate and event lines
+// holds about 8.6 KB per job, so the bound catches any of them.
+func TestRecoveredJobHeap(t *testing.T) {
+	dir := t.TempDir()
+	st := openStore(t, dir)
+	spec := heapSpec()
+	cells := runSpec(t, spec).Cells
+	const n = 2000
+	for i := 1; i <= n; i++ {
+		journalCells(t, st, fmt.Sprintf("c%d", i), spec, cells, StateDone, "")
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	s := newServer(campaign.Engine{}, 2, openStore(t, dir), nil, nil)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if len(s.jobs) != n {
+		t.Fatalf("restart recovered %d jobs, want %d", len(s.jobs), n)
+	}
+	perJob := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / n
+	t.Logf("live heap after restart: %d B per recovered job", perJob)
+	if perJob > 2048 {
+		t.Errorf("restart over %d done jobs holds %d B of heap per job, want <= 2048", n, perJob)
+	}
+	runtime.KeepAlive(s)
+}
+
+// TestRecoveredJobJournalRemoved pins a recovered job whose journal
+// directory disappears behind the server's back: its status still
+// answers from the header, its reads answer an error status instead of
+// an empty 200, and DELETE still evicts it.
+func TestRecoveredJobJournalRemoved(t *testing.T) {
+	dir := t.TempDir()
+	spec := heapSpec()
+	journalCells(t, openStore(t, dir), "c1", spec, runSpec(t, spec).Cells, StateDone, "")
+	ts := httptest.NewServer(newServer(campaign.Engine{}, 2, openStore(t, dir), nil, nil))
+	defer ts.Close()
+	if err := os.RemoveAll(filepath.Join(dir, "c1")); err != nil {
+		t.Fatal(err)
+	}
+	if st := getStatus(t, ts, "c1"); st.State != StateDone || st.Done != int64(spec.CellCount()) {
+		t.Fatalf("status after the journal vanished: %+v", st)
+	}
+	for _, path := range []string{"/results", "/results?format=text", "/events"} {
+		resp, err := http.Get(ts.URL + "/campaigns/c1" + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := readAll(resp)
+		if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(body), "read journal") {
+			t.Errorf("%s without a journal answered %s: %s", path, resp.Status, body)
+		}
+	}
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/campaigns/c1", nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("evict without a journal returned %s", resp.Status)
+	}
+	resp, err = http.Get(ts.URL + "/campaigns/c1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("evicted job still answers %s", resp.Status)
+	}
+}
+
+// TestRecoveredReadsRaceEvict races DELETE of recovered jobs against
+// concurrent /results and /events readers, which read each job's
+// journal while the eviction removes it. Every reader must end in a
+// 200 carrying the whole, right body or in a 404/410 — never a panic,
+// another status, or a truncated body. Run under -race in CI.
+func TestRecoveredReadsRaceEvict(t *testing.T) {
+	dir := t.TempDir()
+	st := openStore(t, dir)
+	spec := heapSpec()
+	agg := runSpec(t, spec)
+	canon, err := agg.Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// WAL order differs from grid order, so /events must keep it.
+	wal := []campaign.CellResult{agg.Cells[2], agg.Cells[0], agg.Cells[3], agg.Cells[1]}
+	const n = 16
+	for i := 1; i <= n; i++ {
+		state := StateDone
+		if i%4 == 0 {
+			state = StateCanceled
+		}
+		journalCells(t, st, fmt.Sprintf("c%d", i), spec, wal, state, "")
+	}
+	ts := httptest.NewServer(newServer(campaign.Engine{}, 2, openStore(t, dir), nil, nil))
+	defer ts.Close()
+	want := map[string]string{
+		"/results": string(canon) + "\n",
+		"/events":  eventLines(t, wal),
+	}
+	var wg sync.WaitGroup
+	for i := 1; i <= n; i++ {
+		id := fmt.Sprintf("c%d", i)
+		for path, body := range want {
+			for k := 0; k < 3; k++ {
+				wg.Add(1)
+				go func(path, body string) {
+					defer wg.Done()
+					resp, err := http.Get(ts.URL + "/campaigns/" + id + path)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					got, err := readAll(resp)
+					switch {
+					case err != nil:
+						t.Errorf("%s %s: body read: %v", id, path, err)
+					case resp.StatusCode == http.StatusOK && string(got) != body:
+						t.Errorf("%s %s: 200 with the wrong body:\n%.300s", id, path, got)
+					case resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusNotFound && resp.StatusCode != http.StatusGone:
+						t.Errorf("%s %s: %s %s", id, path, resp.Status, got)
+					}
+				}(path, body)
+			}
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/campaigns/"+id, nil)
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusNotFound {
+				t.Errorf("evict %s: %s", id, resp.Status)
+			}
+		}()
+	}
+	wg.Wait()
+	if jobs, err := openStore(t, dir).Recover(); err != nil || len(jobs) != 0 {
+		t.Fatalf("after evicting every job the store holds %d jobs (%v)", len(jobs), err)
 	}
 }

@@ -286,6 +286,68 @@ func TestDetectLaneRepeat(t *testing.T) {
 	}
 }
 
+// References of one shape share one process-wide pool pair, so an
+// arena one reference checks in is checked out next by a reference
+// with another program, other contents and another seed. Alternating
+// such references on the shared pools, in both modes, must give the
+// verdicts of fresh arenas on the lane and the scalar path alike.
+func TestSharedArenaPoolsMatchFreshArenas(t *testing.T) {
+	twm, err := core.TWMTA(march.MustLookup("March C-"), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1, err := core.Scheme1(march.MustLookup("March C-"), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const words, width = 5, 4
+	list := fullCatalog(words, width)
+	var refs []*Reference
+	for _, mode := range []DetectMode{DirectCompare, Signature} {
+		for i, test := range []*march.Test{twm.TWMarch, s1.Test} {
+			for _, seed := range []int64{int64(i) + 1, int64(i) + 100} {
+				ref, err := NewReference(Campaign{Test: test, Words: words, Width: width, Mode: mode, Seed: seed})
+				if err != nil {
+					t.Fatal(err)
+				}
+				refs = append(refs, ref)
+			}
+		}
+	}
+	for _, r := range refs[1:] {
+		if shared := r.pools == refs[0].pools; shared != (r.mode == refs[0].mode) {
+			t.Fatalf("mode %v shares pools with mode %v: %v", r.mode, refs[0].mode, shared)
+		}
+	}
+	for start := 0; start < len(list); start += LaneWidth {
+		chunk := list[start:min(start+LaneWidth, len(list))]
+		for k, ref := range refs {
+			got, err := ref.DetectLane(chunk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh := *ref
+			fresh.pools = newArenaPools(arenaShape{words: words, width: width, mode: ref.mode})
+			want, err := fresh.DetectLane(chunk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Fatalf("ref %d chunk at %d: shared pools %#x, fresh arenas %#x", k, start, got, want)
+			}
+			for j, f := range chunk {
+				det, err := ref.Detects(f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if det != (want>>uint(j)&1 == 1) {
+					t.Fatalf("ref %d fault %s: scalar on shared pools %v, lanes on fresh arenas %v", k, f, det, !det)
+				}
+			}
+		}
+	}
+}
+
 // NPSF packs write hooks on the victim and every valid neighbor; a
 // bit-oriented campaign with the NPSF population in a single lane must
 // match the scalar verdicts (covered by the full catalog at 9x1, but

@@ -14,7 +14,7 @@ import (
 // arena is the pooled per-run scratch state a Reference replays faults
 // in: a reusable memory (reset with Restore instead of a fresh
 // allocate-and-randomize), a snapshot buffer, and — in Signature mode —
-// a MISR. Arenas are checked out of the Reference's pool for the
+// a MISR. Arenas are checked out of their shape's pool for the
 // duration of one Detects call, so a Reference is safe for concurrent
 // use by the campaign worker pool.
 type arena struct {
@@ -51,8 +51,8 @@ type arena struct {
 // the verdicts match Detects exactly. The equivalence suite in
 // reference_test.go asserts this over the full fault catalog.
 //
-// All exported state is read-only after construction; the arena pool
-// makes concurrent Detects calls safe.
+// All exported state is read-only after construction; the arena pools
+// make concurrent Detects calls safe.
 type Reference struct {
 	prog    *Program
 	words   int
@@ -68,17 +68,74 @@ type Reference struct {
 	testFeeds  []word.Word
 	testStates []word.Word
 
-	// pools lives apart from the Reference, and its New functions
-	// capture only the arena shape: the runtime keeps every pool used
-	// since the last collection reachable through the next one, and
-	// an embedded pool would pin the whole reference (its feed
-	// streams) along with it.
+	// pools holds the arenas of the reference's shape, shared with
+	// every other reference of that shape (see poolsFor).
 	pools *arenaPools
 }
 
-// arenaPools holds a Reference's scalar and lane arenas.
+// arenaShape is everything a pooled arena's buffers depend on: the
+// memory geometry and, for the MISR state, the detection mode. An
+// arena carries nothing of the reference it last served into the next
+// checkout — Memory.Restore and laneArena.reset rebuild the contents,
+// fault masks, hooks and verdicts — so the references of one shape,
+// whatever their program or seed, share one pool pair.
+type arenaShape struct {
+	words, width int
+	mode         DetectMode
+}
+
+// arenaPools holds the scalar and lane arenas of one shape. Its New
+// functions capture only the shape, never a reference.
 type arenaPools struct {
 	scalar, lane sync.Pool
+}
+
+func newArenaPools(s arenaShape) *arenaPools {
+	p := &arenaPools{}
+	p.scalar.New = func() any {
+		a := &arena{
+			mem:  memory.MustNew(s.words, s.width),
+			snap: make([]word.Word, s.words),
+		}
+		if s.mode == Signature {
+			a.reg = misr.MustNew(s.width)
+		}
+		return a
+	}
+	p.lane.New = func() any { return newLaneArena(s.words, s.width, s.mode) }
+	return p
+}
+
+// maxArenaShapes bounds the process-wide pool table, so a sweep over
+// many memory sizes cannot grow it without limit. Campaign grids bind
+// a few dozen shapes; a reference whose shape finds the table full
+// gets pools of its own, which live and die with it.
+const maxArenaShapes = 256
+
+// shapePools is the process-wide table of arena pools by shape. Every
+// campaign cell binds a fresh Reference; keyed by shape, its arenas
+// come warm from the cells before it instead of being built anew.
+var shapePools struct {
+	mu sync.Mutex
+	m  map[arenaShape]*arenaPools
+}
+
+// poolsFor returns the shared pools of shape s, entering them in the
+// table while it has room.
+func poolsFor(s arenaShape) *arenaPools {
+	shapePools.mu.Lock()
+	defer shapePools.mu.Unlock()
+	if p, ok := shapePools.m[s]; ok {
+		return p
+	}
+	p := newArenaPools(s)
+	if len(shapePools.m) < maxArenaShapes {
+		if shapePools.m == nil {
+			shapePools.m = make(map[arenaShape]*arenaPools)
+		}
+		shapePools.m[s] = p
+	}
+	return p
 }
 
 // NewReference precomputes the fault-free reference for the campaign
@@ -126,19 +183,7 @@ func (p *Program) bind(mem *memory.Memory) (*Reference, error) {
 			return nil, err
 		}
 	}
-	words, width, mode := r.words, r.width, r.mode
-	r.pools = &arenaPools{}
-	r.pools.scalar.New = func() any {
-		a := &arena{
-			mem:  memory.MustNew(words, width),
-			snap: make([]word.Word, words),
-		}
-		if mode == Signature {
-			a.reg = misr.MustNew(width)
-		}
-		return a
-	}
-	r.pools.lane.New = func() any { return newLaneArena(words, width, mode) }
+	r.pools = poolsFor(arenaShape{words: r.words, width: r.width, mode: r.mode})
 	return r, nil
 }
 

@@ -2,10 +2,11 @@
 // -datadir: one directory per submitted campaign holding the spec, a
 // write-ahead log of completed cell results, and a terminal-state
 // marker. A restarted server recovers every journaled job — terminal
-// jobs rebuild their aggregate from the WAL, interrupted jobs replay
-// the finished cells and re-simulate only the remainder (cell results
-// are pure functions of (spec, cell), so the recovered aggregate is
-// byte-identical to an uninterrupted run).
+// jobs rebuild their aggregate from the WAL (cmd/twmd does so on each
+// read, through Load), interrupted jobs replay the finished cells and
+// re-simulate only the remainder (cell results are pure functions of
+// (spec, cell), so the recovered aggregate is byte-identical to an
+// uninterrupted run).
 //
 // Layout under the store root:
 //
