@@ -269,17 +269,17 @@ func BenchmarkS5Coverage(b *testing.B) {
 }
 
 // benchDetectsPath runs the S5 campaign workload through one of the
-// three simulation paths. The trio below is the speedup headline of
-// each tier (naive → scalar reference → bit-parallel lanes); the
-// benchmark-regression gate (scripts/benchdiff) tracks all of them so
-// a regression in any path — or a shrinking gap — fails CI.
-func benchDetectsPath(b *testing.B, naive, noLanes bool) {
+// two simulation paths. The pair below is the speedup headline of the
+// lanes over the naive loop; the benchmark-regression gate
+// (scripts/benchdiff) tracks both so a regression in either path — or
+// a shrinking gap — fails CI.
+func benchDetectsPath(b *testing.B, naive bool) {
 	res, err := core.TWMTA(march.MustLookup("March C-"), 4)
 	if err != nil {
 		b.Fatal(err)
 	}
 	list := faults.EnumerateAll(3, 4)
-	c := faultsim.Campaign{Test: res.TWMarch, Words: 3, Width: 4, Mode: faultsim.DirectCompare, Seed: 1, Naive: naive, NoLanes: noLanes}
+	c := faultsim.Campaign{Test: res.TWMarch, Words: 3, Width: 4, Mode: faultsim.DirectCompare, Seed: 1, Naive: naive}
 	var rep *faultsim.Report
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -294,17 +294,12 @@ func benchDetectsPath(b *testing.B, naive, noLanes bool) {
 
 // BenchmarkDetectsNaive measures the naive one-shot loop: fresh
 // memory, re-randomized contents and a full march per fault.
-func BenchmarkDetectsNaive(b *testing.B) { benchDetectsPath(b, true, false) }
-
-// BenchmarkDetectsFast measures the scalar reference-trace path —
-// one replay per fault against the captured fault-free trace
-// (verdict-equivalent by the faultsim equivalence suite).
-func BenchmarkDetectsFast(b *testing.B) { benchDetectsPath(b, false, true) }
+func BenchmarkDetectsNaive(b *testing.B) { benchDetectsPath(b, true) }
 
 // BenchmarkDetectLane measures the bit-parallel lane path on the
 // identical workload: up to 64 faults packed as bit-planes per replay
 // (verdict-equivalent by the lane equivalence suite and fuzzer).
-func BenchmarkDetectLane(b *testing.B) { benchDetectsPath(b, false, false) }
+func BenchmarkDetectLane(b *testing.B) { benchDetectsPath(b, false) }
 
 // BenchmarkDetectLaneSmallCells isolates the lane replay kernel on the
 // cells small-memory campaigns are made of: every catalog test × widths

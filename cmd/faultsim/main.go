@@ -10,9 +10,8 @@
 // TWMarch and, for comparison, of the Scheme 1 baseline. Simulation
 // rides the bit-parallel lane path by default (the fault-free march is
 // captured once and up to 64 faults replay against it per pass);
-// -lanes=false drops to the scalar one-fault-per-replay reference, and
-// -naive to the one-shot per-fault loop — results are identical on all
-// three paths.
+// -naive drops to the one-shot per-fault loop — results are identical
+// on both paths.
 //
 // With -grid the single simulation becomes a campaign: the comma lists
 // in -tests, -widths and -sizes span a grid that is fanned out over the
@@ -70,8 +69,7 @@ func run(args []string, out, errOut io.Writer) error {
 	scope := fs.String("scope", "all", "coupling pair scope: all, intra, inter")
 	mode := fs.String("mode", "compare", "detection mode: compare or signature")
 	seed := fs.Int64("seed", 1, "initial-contents seed")
-	naive := fs.Bool("naive", false, "debugging escape hatch: use the naive per-fault simulation path instead of the reference-trace fast path (identical results; zeroed in the canonical JSON aggregate)")
-	lanes := fs.Bool("lanes", true, "use the bit-parallel 64-lane replay; -lanes=false pins the scalar per-fault reference (identical results; zeroed in the canonical JSON aggregate)")
+	naive := fs.Bool("naive", false, "debugging escape hatch: use the naive per-fault simulation path instead of the bit-parallel lane path (identical results; zeroed in the canonical JSON aggregate)")
 	baseline := fs.Bool("baseline", true, "also run the Scheme 1 baseline")
 	characterize := fs.Bool("characterize", false, "print the catalog-wide coverage matrix and exit")
 	grid := fs.Bool("grid", false, "run a campaign grid on the internal/campaign engine")
@@ -109,7 +107,7 @@ func run(args []string, out, errOut io.Writer) error {
 			tests: orDefault(*tests, *testName), widths: orDefault(*widths, strconv.Itoa(*width)),
 			sizes: orDefault(*sizes, strconv.Itoa(*words)), classes: *classes, scope: *scope,
 			mode: *mode, seed: *seed, baseline: *baseline, workers: *workers, asJSON: *asJSON,
-			naive: *naive, noLanes: !*lanes, pipeline: ps, progress: *progress,
+			naive: *naive, pipeline: ps, progress: *progress,
 		})
 	}
 
@@ -137,7 +135,7 @@ func run(args []string, out, errOut io.Writer) error {
 			len(list), *words, *width, dm, *seed),
 		Header: []string{"test", "class", "detected", "total", "coverage"},
 	}
-	if err := coverageRows(tb, "TWMarch", res.TWMarch, dm, *words, *width, *seed, *naive, !*lanes, list); err != nil {
+	if err := coverageRows(tb, "TWMarch", res.TWMarch, dm, *words, *width, *seed, *naive, list); err != nil {
 		return err
 	}
 	if *baseline {
@@ -145,7 +143,7 @@ func run(args []string, out, errOut io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if err := coverageRows(tb, "Scheme 1", s1.Test, dm, *words, *width, *seed, *naive, !*lanes, list); err != nil {
+		if err := coverageRows(tb, "Scheme 1", s1.Test, dm, *words, *width, *seed, *naive, list); err != nil {
 			return err
 		}
 	}
@@ -180,8 +178,8 @@ func characterizeCatalog(out io.Writer, words int) error {
 	return err
 }
 
-func coverageRows(tb *report.Table, label string, t *march.Test, mode faultsim.DetectMode, words, width int, seed int64, naive, noLanes bool, list []faults.Fault) error {
-	c := faultsim.Campaign{Test: t, Words: words, Width: width, Mode: mode, Seed: seed, Naive: naive, NoLanes: noLanes}
+func coverageRows(tb *report.Table, label string, t *march.Test, mode faultsim.DetectMode, words, width int, seed int64, naive bool, list []faults.Fault) error {
+	c := faultsim.Campaign{Test: t, Words: words, Width: width, Mode: mode, Seed: seed, Naive: naive}
 	rep, err := faultsim.Run(c, list)
 	if err != nil {
 		return err
@@ -232,7 +230,6 @@ type gridFlags struct {
 	workers              int
 	asJSON               bool
 	naive                bool
-	noLanes              bool
 	pipeline             *campaign.PipelineSpec
 	progress             bool
 }
@@ -270,7 +267,6 @@ func runGrid(out, errOut io.Writer, f gridFlags) error {
 		Seed:     f.seed,
 		Workers:  f.workers,
 		Naive:    f.naive,
-		NoLanes:  f.noLanes,
 		Pipeline: f.pipeline,
 	}
 	prog := &campaign.Progress{}

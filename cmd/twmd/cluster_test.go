@@ -74,6 +74,7 @@ func TestClusterEndToEnd(t *testing.T) {
 	stop := clusterWorkers(t, ts.URL, 3)
 	defer stop()
 	waitState(t, ts, id, StateDone)
+	waitRunner(t, s, id)
 
 	// Byte-identity against the single-process streaming engine.
 	resp, err := http.Get(ts.URL + "/campaigns/" + id + "/results")

@@ -71,6 +71,25 @@ func stopJob(t testing.TB, s *server, id string) {
 	}
 }
 
+// waitRunner waits until job id's runner has exited. settle publishes
+// the terminal state before it finishes the journal and the index, so
+// a test that reads the store or restarts the server after waitState
+// waits here first.
+func waitRunner(t testing.TB, s *server, id string) {
+	t.Helper()
+	s.mu.Lock()
+	j := s.jobs[id]
+	s.mu.Unlock()
+	if j == nil {
+		t.Fatalf("job %s is not in the job table", id)
+	}
+	select {
+	case <-j.done:
+	case <-time.After(30 * time.Second):
+		t.Fatalf("job %s runner still running 30s after its terminal state", id)
+	}
+}
+
 func getStatus(t testing.TB, ts *httptest.Server, id string) Status {
 	t.Helper()
 	resp, err := http.Get(ts.URL + "/campaigns/" + id)
@@ -386,6 +405,25 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("spec %s accepted with %s", body, resp.Status)
 		}
+	}
+}
+
+// The no_lanes spec field is gone: a submission naming it is rejected
+// with the field's name, like any unknown field.
+func TestSubmitRejectsNoLanes(t *testing.T) {
+	ts := httptest.NewServer(newServer(campaign.Engine{}, 2, nil, nil, nil))
+	defer ts.Close()
+	body := `{"tests":["MATS"],"widths":[2],"words":[2],"classes":["SAF"],"no_lanes":true}`
+	resp, err := http.Post(ts.URL+"/campaigns", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, err := readAll(resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "no_lanes") {
+		t.Errorf("spec with no_lanes: %s %s", resp.Status, msg)
 	}
 }
 

@@ -161,6 +161,7 @@ func TestRecoverySkipsOrphanIDs(t *testing.T) {
 		t.Fatalf("submission after orphan c9 got id %q, want c10", id)
 	}
 	waitState(t, ts, id, StateDone)
+	waitRunner(t, s, id)
 	jobs, err := openStore(t, dir).Recover()
 	if err != nil {
 		t.Fatal(err)
@@ -323,6 +324,8 @@ func TestRecoverTerminalJobs(t *testing.T) {
 	}
 	resp.Body.Close()
 	waitState(t, ts1, idCanceled, StateCanceled)
+	waitRunner(t, s1, idDone)
+	waitRunner(t, s1, idCanceled)
 
 	ids := []string{idDone, idCanceled, idFailed}
 	before := make(map[string]settledReads)
@@ -548,5 +551,48 @@ func TestRecoveredReadsRaceEvict(t *testing.T) {
 	wg.Wait()
 	if jobs, err := openStore(t, dir).Recover(); err != nil || len(jobs) != 0 {
 		t.Fatalf("after evicting every job the store holds %d jobs (%v)", len(jobs), err)
+	}
+}
+
+// A spec.json an older binary journaled may still carry the removed
+// no_lanes field. The journal decode ignores unknown fields, so such a
+// job recovers as a done header and serves the /results bytes of the
+// same job journaled without the field.
+func TestRecoverSpecWithNoLanes(t *testing.T) {
+	dir := t.TempDir()
+	st := openStore(t, dir)
+	spec := smallSpec()
+	cells := runSpec(t, spec).Cells
+	journalCells(t, st, "c1", spec, cells, StateDone, "")
+	journalCells(t, st, "c2", spec, cells, StateDone, "")
+	path := filepath.Join(dir, "c1", "spec.json")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]any
+	if err := json.Unmarshal(raw, &fields); err != nil {
+		t.Fatal(err)
+	}
+	fields["no_lanes"] = true
+	if raw, err = json.Marshal(fields); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s := newServer(campaign.Engine{}, 2, openStore(t, dir), nil, nil)
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	if j := s.jobs["c1"]; j == nil || j.hub != nil || j.aggFinal != nil {
+		t.Fatalf("job with no_lanes not recovered as a header: %+v", j)
+	}
+	old, cur := readSettled(t, ts, "c1"), readSettled(t, ts, "c2")
+	if old.status.State != StateDone || !strings.HasPrefix(old.results, "200 ") {
+		t.Fatalf("job with no_lanes after recovery: %+v %.200s", old.status, old.results)
+	}
+	if old.results != cur.results {
+		t.Errorf("/results with no_lanes:\n%.600s\nwithout:\n%.600s", old.results, cur.results)
 	}
 }

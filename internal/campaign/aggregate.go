@@ -102,16 +102,14 @@ func (a *Aggregate) CoverageFraction() float64 {
 // indented, with wall-clock and scheduling fields zeroed. Two campaigns
 // over the same grid produce byte-identical Canonical output regardless
 // of worker count, batch size, scheduling, host speed, or simulation
-// path (the Naive and NoLanes escape hatches change only how verdicts
-// are computed, never what they are, so both are zeroed alongside the
-// other knobs).
+// path (the Naive escape hatch changes only how verdicts are computed,
+// never what they are, so it is zeroed alongside the other knobs).
 func (a *Aggregate) Canonical() ([]byte, error) {
 	c := *a
 	c.WallClockNS = 0
 	c.Spec.Workers = 0
 	c.Spec.Batch = 0
 	c.Spec.Naive = false
-	c.Spec.NoLanes = false
 	c.Cells = make([]CellResult, len(a.Cells))
 	copy(c.Cells, a.Cells)
 	for i := range c.Cells {

@@ -248,8 +248,8 @@ func (y *YieldStats) MarshalJSON() ([]byte, error) {
 
 // simulatePipeline is the per-fault campaign loop with the pipeline
 // stage enabled. It replaces the batched detection loop of
-// simulateCell: every fault is detected individually, diagnosed from
-// its comparator-view syndrome, fed to the repair allocator when
+// simulateCell: every fault is detected, diagnosed from its
+// comparator-view syndrome, fed to the repair allocator when
 // detected, and classified against the field-ECC model when it
 // escaped. Results are a pure function of (spec, cell, fault list) —
 // diagnosis, allocation and ECC classification are all deterministic —
@@ -264,23 +264,19 @@ func simulatePipeline(ctx context.Context, spec Spec, c Cell, ct *compiledTest, 
 	}
 	maxSyn := p.maxSyndrome()
 	// Signature-mode detection goes through the cell's reference —
-	// the shared compiled program bound to the cell — unless the spec
-	// forces the naive path; the diagnostic Syndrome re-run below
-	// stays a full comparator-view execution either way. Compare-mode
-	// cells take detection from the Syndrome result and never call
-	// detect.
-	var detect func(f faults.Fault) (bool, error)
-	if c.Mode == ModeSignature {
-		detect = func(f faults.Fault) (bool, error) { return faultsim.Detects(cfg, f) }
-		if !spec.Naive {
-			ref, err := ct.bind(c.Words, c.Seed)
-			if err != nil {
-				res.Err = err.Error()
-				return
-			}
-			detect = ref.Detects
+	// the shared compiled program bound to the cell, one lane replay
+	// per LaneWidth faults — unless the spec forces the naive path
+	// (ref stays nil); the diagnostic Syndrome re-run below stays a
+	// full comparator-view execution either way. Compare-mode cells
+	// take detection from the Syndrome result.
+	var ref *faultsim.Reference
+	if c.Mode == ModeSignature && !spec.Naive {
+		if ref, err = ct.bind(c.Words, c.Seed); err != nil {
+			res.Err = err.Error()
+			return
 		}
 	}
+	var verdicts uint64 // the lane verdicts of the chunk holding fault i
 	for i, f := range list {
 		// The per-fault loop observes cancellation with the same
 		// bounded latency as the batched path.
@@ -295,7 +291,14 @@ func simulatePipeline(ctx context.Context, spec Spec, c Cell, ct *compiledTest, 
 			// Signature detection first; the diagnostic re-run (a real
 			// BIST would switch the comparator on and replay) happens
 			// only for flagged faults.
-			det, err = detect(f)
+			if ref == nil {
+				det, err = faultsim.Detects(cfg, f)
+			} else {
+				if i%faultsim.LaneWidth == 0 {
+					verdicts, err = ref.DetectLane(list[i:min(i+faultsim.LaneWidth, len(list))])
+				}
+				det = verdicts>>uint(i%faultsim.LaneWidth)&1 == 1
+			}
 			if err != nil {
 				res.Err = err.Error()
 				return

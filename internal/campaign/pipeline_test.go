@@ -248,11 +248,15 @@ func TestPipelineSignatureMode(t *testing.T) {
 }
 
 // The pipeline's signature-mode detection goes through the cell's
-// shared reference; forcing the naive path must not change the
-// canonical aggregate (yield section included).
+// shared reference, one lane replay per 64 faults; forcing the naive
+// path must not change the canonical aggregate (yield section
+// included). The sizes give signature cells of exactly one chunk (4
+// words: 64 faults), one chunk plus a partial tail (5 words: 80) and
+// two plus a tail (9 words: 144).
 func TestPipelineNaiveMatchesFast(t *testing.T) {
 	spec := pipelineSpec(1, 1, ECCSECDED)
 	spec.Modes = []string{ModeCompare, ModeSignature}
+	spec.Words = []int{4, 5, 9}
 	ctx := context.Background()
 	fast, err := Engine{}.Run(ctx, spec)
 	if err != nil {
@@ -278,39 +282,10 @@ func TestPipelineNaiveMatchesFast(t *testing.T) {
 	if fast.Errors != 0 {
 		t.Fatalf("%d cells errored", fast.Errors)
 	}
-}
-
-// Like the Naive check above, the NoLanes escape hatch must leave the
-// pipeline's canonical aggregate untouched: detection verdicts are the
-// same whether batches ride the bit-parallel lane path or the scalar
-// reference replay.
-func TestPipelineNoLanesMatchesLanes(t *testing.T) {
-	spec := pipelineSpec(1, 1, ECCSECDED)
-	spec.Modes = []string{ModeCompare, ModeSignature}
-	ctx := context.Background()
-	lanes, err := Engine{}.Run(ctx, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scalarSpec := spec
-	scalarSpec.NoLanes = true
-	scalar, err := Engine{}.Run(ctx, scalarSpec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl, err := lanes.Canonical()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cs, err := scalar.Canonical()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(cl, cs) {
-		t.Fatalf("pipeline no-lanes aggregate diverges from lane path:\nlanes:\n%s\nno-lanes:\n%s", cl, cs)
-	}
-	if lanes.Errors != 0 {
-		t.Fatalf("%d cells errored", lanes.Errors)
+	for _, c := range fast.Cells {
+		if want := 16 * c.Words; c.Faults != want {
+			t.Errorf("%s cell at %d words holds %d faults, want %d", c.Mode, c.Words, c.Faults, want)
+		}
 	}
 }
 

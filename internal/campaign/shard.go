@@ -202,13 +202,12 @@ func simulateCell(ctx context.Context, spec Spec, c Cell, cache *faultCache) Cel
 		return res
 	}
 	cfg := faultsim.Campaign{
-		Test:    ct.test,
-		Words:   c.Words,
-		Width:   c.Width,
-		Mode:    mode,
-		Seed:    c.Seed,
-		Naive:   spec.Naive,
-		NoLanes: spec.NoLanes,
+		Test:  ct.test,
+		Words: c.Words,
+		Width: c.Width,
+		Mode:  mode,
+		Seed:  c.Seed,
+		Naive: spec.Naive,
 	}
 	res.ByClass = make(map[string]ClassCount)
 	if spec.Pipeline.On() {
@@ -220,9 +219,9 @@ func simulateCell(ctx context.Context, spec Spec, c Cell, cache *faultCache) Cel
 	}
 	// One fault-free reference per cell — the shared compiled program
 	// bound to the cell's size and seed — used across the cell's whole
-	// fault population, riding the bit-parallel lane path unless
-	// spec.NoLanes pins the scalar replay; spec.Naive falls back to
-	// the one-shot per-fault loop (identical tallies, only slower).
+	// fault population on the bit-parallel lane path; spec.Naive falls
+	// back to the one-shot per-fault loop (identical tallies, only
+	// slower).
 	runBatch := func(batch []faults.Fault) (*faultsim.Report, error) {
 		return faultsim.Run(cfg, batch)
 	}
@@ -232,11 +231,7 @@ func simulateCell(ctx context.Context, spec Spec, c Cell, cache *faultCache) Cel
 			res.Err = err.Error()
 			return res
 		}
-		if spec.NoLanes {
-			runBatch = ref.Run
-		} else {
-			runBatch = ref.RunLanes
-		}
+		runBatch = ref.RunLanes
 	}
 	// Simulate in batches so cancellation has bounded latency even for
 	// a cell with millions of faults. Faults are independent, so the

@@ -105,18 +105,12 @@ type Spec struct {
 	// size that keeps every worker busy.
 	Batch int `json:"batch,omitempty"`
 	// Naive forces the naive per-fault simulation path instead of the
-	// reference-trace fast path (one fault-free reference per cell,
-	// shared across the cell's fault population). Results are
-	// bit-identical either way — the flag is a debugging escape hatch
-	// and is zeroed in the canonical aggregate like the other
-	// scheduling knobs.
+	// bit-parallel lane path (one fault-free reference per cell, shared
+	// across the cell's fault population, up to 64 faults per replay).
+	// Results are bit-identical either way — the flag is a debugging
+	// escape hatch and is zeroed in the canonical aggregate like the
+	// other scheduling knobs.
 	Naive bool `json:"naive,omitempty"`
-	// NoLanes forces the scalar per-fault reference replay instead of
-	// the bit-parallel lane path that batches up to 64 faults per
-	// replay. Results are bit-identical either way — like Naive it is
-	// a debugging escape hatch, zeroed in the canonical aggregate, and
-	// it has no effect when Naive is set.
-	NoLanes bool `json:"no_lanes,omitempty"`
 	// Pipeline, when enabled, runs the diagnosis-and-repair stage
 	// after detection: mismatch syndromes are diagnosed, suspect sites
 	// fed to the spare-row/column allocator, and test escapes checked

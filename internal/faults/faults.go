@@ -279,8 +279,15 @@ type Injected struct {
 var _ memory.Accessor = (*Injected)(nil)
 
 // Inject wraps mem with the fault and applies its initial condition.
-// The fault's sites must lie within the memory geometry.
+// The fault's sites must lie within the memory geometry. A pointer to
+// one of this package's fault types injects as its value (see Value);
+// any other type is an error.
 func Inject(mem *memory.Memory, f Fault) (*Injected, error) {
+	v, ok := Value(f)
+	if !ok {
+		return nil, fmt.Errorf("faults: unsupported fault type %T", f)
+	}
+	f = v
 	for _, s := range sitesOf(f) {
 		if s.Addr < 0 || s.Addr >= mem.Words() {
 			return nil, fmt.Errorf("faults: %s: address %d out of range [0,%d)", f, s.Addr, mem.Words())
@@ -314,6 +321,42 @@ func MustInject(mem *memory.Memory, f Fault) *Injected {
 		panic(err)
 	}
 	return inj
+}
+
+// Value returns the fault f stands for as a value of one of this
+// package's fault types: a pointer to one is dereferenced, so
+// &StuckAt{…} range-checks, injects and simulates exactly as its value
+// does. ok is false for anything else — a nil pointer, or a type from
+// outside the package that embeds a fault — which no simulator models.
+func Value(f Fault) (v Fault, ok bool) {
+	switch t := f.(type) {
+	case StuckAt, Transition, Coupling, Linked, AddrAlias, AddrShadow, ReadDestructive, NPSF:
+		return f, true
+	case *StuckAt:
+		return deref(t)
+	case *Transition:
+		return deref(t)
+	case *Coupling:
+		return deref(t)
+	case *Linked:
+		return deref(t)
+	case *AddrAlias:
+		return deref(t)
+	case *AddrShadow:
+		return deref(t)
+	case *ReadDestructive:
+		return deref(t)
+	case *NPSF:
+		return deref(t)
+	}
+	return nil, false
+}
+
+func deref[T Fault](p *T) (Fault, bool) {
+	if p == nil {
+		return nil, false
+	}
+	return *p, true
 }
 
 func sitesOf(f Fault) []Site {

@@ -2,6 +2,7 @@ package faults
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -330,4 +331,45 @@ func TestCouplingModelString(t *testing.T) {
 	if !strings.Contains(CouplingModel(9).String(), "9") {
 		t.Error("out-of-range model should format its value")
 	}
+}
+
+// embedded is a fault type from outside the sealed set: it satisfies
+// Fault through the StuckAt it embeds.
+type embedded struct{ StuckAt }
+
+// A pointer to one of the fault types stands for its value: Value
+// dereferences it, and Inject range-checks and injects it as the
+// value. Nil pointers and types outside the package are rejected.
+func TestValueDereferencesPointers(t *testing.T) {
+	for _, f := range append(EnumerateAll(2, 2), EnumerateReadDestructive(2, 2)[0], EnumerateAddrFaults(2)[0],
+		EnumerateLinkedCFid(2, 2)[0], EnumerateNPSF(3, 3)[0]) {
+		p := pointerTo(f)
+		if v, ok := Value(p); !ok || v != f {
+			t.Errorf("Value(&%s) = %v, %v; want the value", f, v, ok)
+		}
+		if v, ok := Value(f); !ok || v != f {
+			t.Errorf("Value(%s) = %v, %v; want it unchanged", f, v, ok)
+		}
+	}
+	bad := StuckAt{Cell: Site{Addr: 99}}
+	_, want := Inject(memory.MustNew(3, 4), bad)
+	_, got := Inject(memory.MustNew(3, 4), &bad)
+	if want == nil || got == nil || got.Error() != want.Error() {
+		t.Errorf("pointer error %v, value error %v", got, want)
+	}
+	for _, f := range []Fault{(*StuckAt)(nil), embedded{}, nil} {
+		if _, ok := Value(f); ok {
+			t.Errorf("Value(%T) accepted", f)
+		}
+		if _, err := Inject(memory.MustNew(3, 4), f); err == nil || !strings.Contains(err.Error(), "unsupported fault type") {
+			t.Errorf("Inject(%T) = %v, want an unsupported-type error", f, err)
+		}
+	}
+}
+
+// pointerTo returns a pointer to a copy of f.
+func pointerTo(f Fault) Fault {
+	p := reflect.New(reflect.TypeOf(f))
+	p.Elem().Set(reflect.ValueOf(f))
+	return p.Interface().(Fault)
 }

@@ -13,17 +13,16 @@
 // fault populations on small memories, comparing the transparent
 // word-oriented test against its nontransparent counterpart.
 //
-// Batch evaluation has three implementations with bit-identical
-// verdicts, each the oracle for the next. Detects is the naive
-// one-shot path: fresh memory, re-randomized contents and a full march
-// per fault. Reference.Detects is the scalar fast path: the test is
-// compiled once into a Program that serves every memory size, bound to
-// a configuration's initial contents and fault-free MISR prefix states,
-// and each fault replays against it on a pooled memory arena. Reference.DetectLane is the
-// bit-parallel path: up to 64 faults packed into uint64 bit-planes and
-// replayed at once (see lane.go). Run rides the lane path unless
-// Campaign.NoLanes drops it to the scalar replay or Campaign.Naive to
-// the one-shot loop; Compare and per-fault callers use Detector.
+// Evaluation has two implementations with bit-identical verdicts.
+// Detects is the naive one-shot path: fresh memory, re-randomized
+// contents and a full march per fault. Reference.DetectLane is the
+// bit-parallel path: the test is compiled once into a Program that
+// serves every memory size, bound to a configuration's initial
+// contents, and up to 64 faults are packed into uint64 bit-planes and
+// replayed against it at once (see lane.go). Run and Compare ride the
+// lanes unless Campaign.Naive drops them to the one-shot loop. The
+// tests keep a third, scalar replay — one fault per pass against the
+// bound reference — as the oracle between the two.
 package faultsim
 
 import (
@@ -78,15 +77,10 @@ type Campaign struct {
 	// of randomizing (length must equal Words).
 	Initial []word.Word
 	// Naive forces Run and Compare onto the one-shot per-fault path
-	// instead of the reference-trace fast path. Verdicts are identical
+	// instead of the bit-parallel lane path. Verdicts are identical
 	// either way (the equivalence suite asserts it over the full fault
 	// catalog); the flag exists as a debugging escape hatch.
 	Naive bool
-	// NoLanes forces Run onto the scalar per-fault reference replay
-	// instead of the bit-parallel lane path (Reference.RunLanes).
-	// Reports are byte-identical either way; like Naive, the flag is a
-	// debugging escape hatch. It has no effect when Naive is set.
-	NoLanes bool
 }
 
 // newMemory materializes the campaign's pre-existing contents. The
@@ -114,7 +108,7 @@ func (c Campaign) newMemory() (*memory.Memory, error) {
 // it allocates and initializes a fresh memory and replays the full
 // march (and, in Signature mode, re-derives the prediction test) for
 // the single fault. Batch callers should build a Reference once and
-// use its Detects — same verdicts, amortized fault-free work.
+// use its lane path — same verdicts, amortized fault-free work.
 func Detects(c Campaign, f faults.Fault) (bool, error) {
 	if c.Test == nil {
 		return false, fmt.Errorf("faultsim: campaign has no test")
@@ -237,9 +231,8 @@ func (r *Report) Classes() []string {
 
 // Run executes the campaign over the fault list. By default it builds
 // a Reference once for the configuration and rides the bit-parallel
-// lane path (Reference.RunLanes); Campaign.NoLanes drops to the scalar
-// per-fault reference replay and Campaign.Naive to the one-shot loop.
-// The Report is byte-identical on all three paths.
+// lane path (Reference.RunLanes); Campaign.Naive drops to the one-shot
+// loop. The Report is byte-identical on both paths.
 func Run(c Campaign, list []faults.Fault) (*Report, error) {
 	if c.Naive {
 		return runWith(func(f faults.Fault) (bool, error) { return Detects(c, f) }, list)
@@ -248,31 +241,38 @@ func Run(c Campaign, list []faults.Fault) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	if c.NoLanes {
-		return ref.Run(list)
-	}
 	return ref.RunLanes(list)
 }
 
-// Detector returns the campaign's per-fault verdict function: the
-// naive one-shot loop when Naive is set, a shared Reference otherwise.
-// Per-fault callers (Compare, the campaign engine's pipeline stage) go
-// through it; batch callers use Run, which additionally selects the
-// bit-parallel lane path over whole fault lists.
-func (c Campaign) Detector() (func(faults.Fault) (bool, error), error) {
+// laneDetector returns the campaign's verdict function over up to
+// LaneWidth faults, bit i of the result set when fs[i] is detected:
+// the bound Reference's DetectLane, or the naive one-shot loop when
+// Naive is set.
+func (c Campaign) laneDetector() (func(fs []faults.Fault) (uint64, error), error) {
 	if c.Naive {
-		return func(f faults.Fault) (bool, error) { return Detects(c, f) }, nil
+		return func(fs []faults.Fault) (uint64, error) {
+			var verdict uint64
+			for i, f := range fs {
+				d, err := Detects(c, f)
+				if err != nil {
+					return 0, fmt.Errorf("faultsim: %s: %v", f, err)
+				}
+				if d {
+					verdict |= uint64(1) << uint(i)
+				}
+			}
+			return verdict, nil
+		}, nil
 	}
 	ref, err := NewReference(c)
 	if err != nil {
 		return nil, err
 	}
-	return ref.Detects, nil
+	return ref.DetectLane, nil
 }
 
-// runWith folds per-fault verdicts into a Report; it is the single
-// tally loop behind Run and Reference.Run, so both paths report
-// identically (including the Missed cap and its order).
+// runWith folds per-fault verdicts into a Report: the tally loop of
+// Run's naive path, whose Missed cap and order RunLanes reproduces.
 func runWith(det func(faults.Fault) (bool, error), list []faults.Fault) (*Report, error) {
 	rep := &Report{ByClass: make(map[string]ClassStats)}
 	for _, f := range list {
@@ -315,39 +315,44 @@ func (e *Equivalence) Equal() bool { return e.OnlyA == 0 && e.OnlyB == 0 }
 // Compare runs both campaigns over the fault list and reports where
 // their verdicts differ. This is the paper's Section 5 experiment: the
 // transparent word-oriented test must preserve the coverage of its
-// nontransparent counterpart. Each side evaluates through its own
-// Reference unless its Naive flag is set.
+// nontransparent counterpart. Each side evaluates LaneWidth faults at
+// a time through its own Reference, or through the one-shot loop when
+// its Naive flag is set.
 func Compare(a, b Campaign, list []faults.Fault) (*Equivalence, error) {
-	detA, err := a.Detector()
+	detA, err := a.laneDetector()
 	if err != nil {
 		return nil, fmt.Errorf("faultsim: campaign A: %v", err)
 	}
-	detB, err := b.Detector()
+	detB, err := b.laneDetector()
 	if err != nil {
 		return nil, fmt.Errorf("faultsim: campaign B: %v", err)
 	}
 	eq := &Equivalence{}
-	for _, f := range list {
-		da, err := detA(f)
+	for start := 0; start < len(list); start += LaneWidth {
+		chunk := list[start:min(start+LaneWidth, len(list))]
+		va, err := detA(chunk)
 		if err != nil {
-			return nil, fmt.Errorf("faultsim: campaign A: %s: %v", f, err)
+			return nil, fmt.Errorf("faultsim: campaign A: %v", err)
 		}
-		db, err := detB(f)
+		vb, err := detB(chunk)
 		if err != nil {
-			return nil, fmt.Errorf("faultsim: campaign B: %s: %v", f, err)
+			return nil, fmt.Errorf("faultsim: campaign B: %v", err)
 		}
-		switch {
-		case da && db:
-			eq.Both++
-		case da:
-			eq.OnlyA++
-		case db:
-			eq.OnlyB++
-		default:
-			eq.Neither++
-		}
-		if da != db && len(eq.Disagreements) < 64 {
-			eq.Disagreements = append(eq.Disagreements, Disagreement{Fault: f, DetectedA: da, DetectedB: db})
+		for i, f := range chunk {
+			da, db := va>>uint(i)&1 == 1, vb>>uint(i)&1 == 1
+			switch {
+			case da && db:
+				eq.Both++
+			case da:
+				eq.OnlyA++
+			case db:
+				eq.OnlyB++
+			default:
+				eq.Neither++
+			}
+			if da != db && len(eq.Disagreements) < 64 {
+				eq.Disagreements = append(eq.Disagreements, Disagreement{Fault: f, DetectedA: da, DetectedB: db})
+			}
 		}
 	}
 	return eq, nil

@@ -44,7 +44,7 @@ func FuzzDetectsFastVsNaive(f *testing.F) {
 			mode = Signature
 		}
 		c := Campaign{Test: tst, Words: words, Width: width, Mode: mode, Seed: seed}
-		ref, err := NewReference(c)
+		ref, err := newScalarRef(c)
 		if err != nil {
 			t.Fatalf("NewReference: %v", err)
 		}
@@ -104,7 +104,7 @@ func FuzzDetectLaneVsDetects(f *testing.F) {
 			mode = Signature
 		}
 		c := Campaign{Test: tst, Words: words, Width: width, Mode: mode, Seed: seed}
-		ref, err := NewReference(c)
+		ref, err := newScalarRef(c)
 		if err != nil {
 			t.Fatalf("NewReference: %v", err)
 		}

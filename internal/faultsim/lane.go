@@ -23,9 +23,9 @@ package faultsim
 // pattern-sensitive faults) registers per-address hooks that fix up
 // single lanes after the bulk commit; the hook bodies replicate the
 // scalar semantics of internal/faults exactly, including effect order
-// within one write. Lane verdicts are asserted bit-identical to
-// Reference.Detects (and transitively to the naive Detects) by the
-// equivalence suite and FuzzDetectLaneVsDetects.
+// within one write. Lane verdicts are asserted bit-identical to the
+// scalar replay oracle of the tests (and through it to the naive
+// Detects) by the equivalence suite and FuzzDetectLaneVsDetects.
 
 import (
 	"fmt"
@@ -169,9 +169,9 @@ type laneArena struct {
 	// Signature mode: the two plane-wise MISR signatures.
 	misr, sigA []uint64
 
-	// scratch backs the faults.Inject fallback on the error and
-	// unsupported-type paths, so DetectLane reports byte-identical
-	// errors to the scalar paths without paying Inject per fault.
+	// scratch backs the faults.Inject call on the error path, so
+	// DetectLane reports the naive path's error messages without
+	// paying Inject per fault.
 	scratch *memory.Memory
 
 	active   uint64
@@ -182,7 +182,6 @@ type laneArena struct {
 	// verdict); Signature keeps every lane live, since signatures
 	// depend on the full replay.
 	live uint64
-	slow []int // lanes deferred to the scalar oracle (unknown types)
 
 	valRow, oldRow, rawRow [word.MaxWidth]uint64
 }
@@ -238,7 +237,6 @@ func (ar *laneArena) reset(r *Reference) {
 	ar.npsf = ar.npsf[:0]
 	ar.active, ar.detected = 0, 0
 	ar.live = ^uint64(0)
-	ar.slow = ar.slow[:0]
 }
 
 // addWrite and addRead register hooks, seeding a fresh address's list
@@ -264,22 +262,6 @@ func (ar *laneArena) addRead(addr int, h laneHook) {
 	ar.nReadHooks++
 }
 
-// packResult classifies what pack did with one fault.
-type packResult int
-
-const (
-	// packOK: the fault is valid and registered on its lane.
-	packOK packResult = iota
-	// packInvalid: a site falls outside the geometry (or an equivalent
-	// constraint faults.Inject enforces is violated); nothing was
-	// registered. DetectLane re-runs faults.Inject to surface the
-	// byte-identical error message.
-	packInvalid
-	// packUnsupported: a fault type the lane engine does not model;
-	// DetectLane defers the lane to the scalar oracle.
-	packUnsupported
-)
-
 func (r *Reference) siteOK(s faults.Site) bool {
 	return s.Addr >= 0 && s.Addr < r.words && s.Bit >= 0 && s.Bit < r.width
 }
@@ -289,13 +271,14 @@ func (r *Reference) addrOK(a int) bool { return a >= 0 && a < r.words }
 // pack validates one fault (the same constraints faults.Inject
 // enforces, without its allocations), registers it on lane machine
 // `lane` (a single bit mask) and applies its injection-time initial
-// condition to the planes.
-func (ar *laneArena) pack(r *Reference, f faults.Fault, lane uint64) packResult {
+// condition to the planes. It reports false, registering nothing, for
+// a fault faults.Inject rejects.
+func (ar *laneArena) pack(r *Reference, f faults.Fault, lane uint64) bool {
 	w := r.width
 	switch t := f.(type) {
 	case faults.StuckAt:
 		if !r.siteOK(t.Cell) {
-			return packInvalid
+			return false
 		}
 		idx := t.Cell.Addr*w + t.Cell.Bit
 		ar.masked[t.Cell.Addr] = true
@@ -308,7 +291,7 @@ func (ar *laneArena) pack(r *Reference, f faults.Fault, lane uint64) packResult 
 		}
 	case faults.Transition:
 		if !r.siteOK(t.Cell) {
-			return packInvalid
+			return false
 		}
 		idx := t.Cell.Addr*w + t.Cell.Bit
 		ar.masked[t.Cell.Addr] = true
@@ -319,13 +302,13 @@ func (ar *laneArena) pack(r *Reference, f faults.Fault, lane uint64) packResult 
 		}
 	case faults.Coupling:
 		if !r.siteOK(t.Aggressor) || !r.siteOK(t.Victim) || t.Aggressor == t.Victim {
-			return packInvalid
+			return false
 		}
 		ar.packCoupling(&t, lane, w)
 	case faults.Linked:
 		if !r.siteOK(t.A.Aggressor) || !r.siteOK(t.A.Victim) ||
 			!r.siteOK(t.B.Aggressor) || !r.siteOK(t.B.Victim) {
-			return packInvalid
+			return false
 		}
 		ar.chains = append(ar.chains, [2]faults.Coupling{t.A, t.B})
 		h := laneHook{kind: hookChain, lane: lane, dataIdx: int32(len(ar.chains) - 1)}
@@ -336,20 +319,20 @@ func (ar *laneArena) pack(r *Reference, f faults.Fault, lane uint64) packResult 
 		ar.initCoupling(&t.B, lane, w)
 	case faults.AddrAlias:
 		if !r.addrOK(t.From) || !r.addrOK(t.To) || t.From == t.To {
-			return packInvalid
+			return false
 		}
 		ar.redirect[t.From] |= lane
 		ar.addWrite(t.From, laneHook{kind: hookAliasWrite, lane: lane, from: int32(t.From), to: int32(t.To)})
 		ar.addRead(t.From, laneHook{kind: hookAliasRead, lane: lane, from: int32(t.From), to: int32(t.To)})
 	case faults.AddrShadow:
 		if !r.addrOK(t.From) || !r.addrOK(t.To) || t.From == t.To {
-			return packInvalid
+			return false
 		}
 		ar.addWrite(t.From, laneHook{kind: hookShadowWrite, lane: lane, from: int32(t.From), to: int32(t.To)})
 		ar.addRead(t.From, laneHook{kind: hookShadowRead, lane: lane, from: int32(t.From), to: int32(t.To)})
 	case faults.ReadDestructive:
 		if !r.siteOK(t.Cell) {
-			return packInvalid
+			return false
 		}
 		ar.addRead(t.Cell.Addr, laneHook{
 			kind: hookReadDisturb, lane: lane,
@@ -357,7 +340,7 @@ func (ar *laneArena) pack(r *Reference, f faults.Fault, lane uint64) packResult 
 		})
 	case faults.NPSF:
 		if t.Rows < 1 || t.Cols < 1 || !r.addrOK(t.Victim) || !r.addrOK(t.Rows*t.Cols-1) {
-			return packInvalid
+			return false
 		}
 		spec := npsfSpec{neigh: npsfNeighbors(t)}
 		for i, p := range t.Pattern {
@@ -378,9 +361,13 @@ func (ar *laneArena) pack(r *Reference, f faults.Fault, lane uint64) packResult 
 		}
 		ar.enforceNPSF(&h, w)
 	default:
-		return packUnsupported
+		// Only a pointer to one of the fault types gets here (the cases
+		// above take every value type faults.Value returns): it packs
+		// as its value.
+		v, ok := faults.Value(f)
+		return ok && ar.pack(r, v, lane)
 	}
-	return packOK
+	return true
 }
 
 // packCoupling registers a plain coupling fault. Each model reduces to
@@ -802,11 +789,10 @@ func (r *Reference) replayDirectLane(ar *laneArena) {
 
 // laneCompress runs one signature-mode pass plane-wise and leaves the
 // 64 MISR signatures in out (out[b] bit L = signature bit b of lane
-// L). Unlike the scalar path it compresses the full feed stream from
-// the zero seed — the scalar resume-from-divergence optimization is
-// exactly the algebraic identity that makes the two equal — so every
-// lane's signature matches misr.MISR fed the same stream. The memory
-// planes carry over between passes, as in the scalar replay.
+// L). It compresses the full feed stream from the zero seed, so every
+// lane's signature matches misr.MISR fed the same stream, as on the
+// naive path. The memory planes carry over between passes, as the
+// naive path's memory does.
 func (r *Reference) laneCompress(ar *laneArena, elems []progElem, predict bool, out []uint64) {
 	w, n := r.width, r.words
 	polyBits := r.prog.polyBits
@@ -859,10 +845,9 @@ func (r *Reference) laneCompress(ar *laneArena, elems []progElem, predict bool, 
 // replay and returns their verdicts as a bit vector: bit i is set when
 // the campaign's test detects fs[i]. Verdicts are bit-identical to
 // calling Detects per fault; errors (invalid faults) are reported for
-// the first offending fault with the same message the scalar batch
-// paths produce. A short slice leaves the tail lanes simulating the
-// fault-free machine with their verdict bits masked off. Safe for
-// concurrent use.
+// the first offending fault with the message Run reports on the naive
+// path. A short slice leaves the tail lanes simulating the fault-free
+// machine with their verdict bits masked off. Safe for concurrent use.
 func (r *Reference) DetectLane(fs []faults.Fault) (uint64, error) {
 	if len(fs) == 0 {
 		return 0, nil
@@ -870,60 +855,42 @@ func (r *Reference) DetectLane(fs []faults.Fault) (uint64, error) {
 	if len(fs) > LaneWidth {
 		return 0, fmt.Errorf("faultsim: lane capacity is %d faults, got %d", LaneWidth, len(fs))
 	}
-	ar := r.pools.lane.Get().(*laneArena)
-	defer r.pools.lane.Put(ar)
+	ar := r.pool.Get().(*laneArena)
+	defer r.pool.Put(ar)
 	ar.reset(r)
 	for i, f := range fs {
-		switch ar.pack(r, f, uint64(1)<<uint(i)) {
-		case packOK:
-			ar.active |= uint64(1) << uint(i)
-		case packInvalid:
-			// Reproduce the exact scalar error message; pack's checks
+		if !ar.pack(r, f, uint64(1)<<uint(i)) {
+			// Reproduce the naive path's error message; pack's checks
 			// mirror faults.Inject, so Inject must fail here too.
 			if _, err := faults.Inject(ar.scratch, f); err != nil {
 				return 0, fmt.Errorf("faultsim: %s: %v", f, err)
 			}
 			return 0, fmt.Errorf("faultsim: %s: invalid fault", f)
-		case packUnsupported:
-			if _, err := faults.Inject(ar.scratch, f); err != nil {
-				return 0, fmt.Errorf("faultsim: %s: %v", f, err)
-			}
-			ar.slow = append(ar.slow, i)
 		}
+		ar.active |= uint64(1) << uint(i)
 	}
-	if ar.active != 0 {
-		switch r.mode {
-		case DirectCompare:
-			r.replayDirectLane(ar)
-		case Signature:
-			r.laneCompress(ar, r.prog.pred, true, ar.sigA)
-			r.laneCompress(ar, r.prog.test, false, ar.misr)
-			var differ uint64
-			for b := 0; b < r.width; b++ {
-				differ |= ar.sigA[b] ^ ar.misr[b]
-			}
-			ar.detected = differ
-		default:
-			return 0, fmt.Errorf("faultsim: unknown mode %v", r.mode)
+	switch r.mode {
+	case DirectCompare:
+		r.replayDirectLane(ar)
+	case Signature:
+		r.laneCompress(ar, r.prog.pred, true, ar.sigA)
+		r.laneCompress(ar, r.prog.test, false, ar.misr)
+		var differ uint64
+		for b := 0; b < r.width; b++ {
+			differ |= ar.sigA[b] ^ ar.misr[b]
 		}
+		ar.detected = differ
+	default:
+		return 0, fmt.Errorf("faultsim: unknown mode %v", r.mode)
 	}
-	verdict := ar.detected & ar.active
-	for _, i := range ar.slow {
-		det, err := r.Detects(fs[i])
-		if err != nil {
-			return 0, fmt.Errorf("faultsim: %s: %v", fs[i], err)
-		}
-		if det {
-			verdict |= uint64(1) << uint(i)
-		}
-	}
-	return verdict, nil
+	return ar.detected & ar.active, nil
 }
 
 // RunLanes executes the reference over a fault list through the
 // bit-parallel lane path, chunking the population LaneWidth faults at
-// a time in list order. The Report is byte-identical to Run's —
-// including the Missed cap and its order — only the cost differs.
+// a time in list order. The Report is byte-identical to the one Run
+// builds on the naive path — including the Missed cap and its order —
+// only the cost differs.
 func (r *Reference) RunLanes(list []faults.Fault) (*Report, error) {
 	rep := &Report{ByClass: make(map[string]ClassStats)}
 	for start := 0; start < len(list); start += LaneWidth {

@@ -36,11 +36,11 @@ func laneVerdicts(t *testing.T, ref *Reference, list []faults.Fault) []bool {
 func TestDetectLaneVsReferenceFullCatalog(t *testing.T) {
 	for _, c := range equivalenceConfigs(t) {
 		list := fullCatalog(c.Words, c.Width)
-		ref, err := NewReference(c)
+		ref, err := newScalarRef(c)
 		if err != nil {
 			t.Fatalf("%s %dx%d %v: %v", c.Test.Name, c.Words, c.Width, c.Mode, err)
 		}
-		lane := laneVerdicts(t, ref, list)
+		lane := laneVerdicts(t, ref.Reference, list)
 		for i, f := range list {
 			scalar, err := ref.Detects(f)
 			if err != nil {
@@ -60,7 +60,7 @@ func TestDetectLaneVsReferenceFullCatalog(t *testing.T) {
 func TestRunLanesMatchesReferenceReport(t *testing.T) {
 	for _, c := range equivalenceConfigs(t) {
 		list := fullCatalog(c.Words, c.Width)
-		ref, err := NewReference(c)
+		ref, err := newScalarRef(c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,7 +95,7 @@ func TestRunLanesMatchesReferenceReport(t *testing.T) {
 func TestDetectLanePartialLanes(t *testing.T) {
 	c := equivalenceConfigs(t)[0]
 	full := fullCatalog(c.Words, c.Width)
-	ref, err := NewReference(c)
+	ref, err := newScalarRef(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestDetectLanePartialLanes(t *testing.T) {
 			t.Fatalf("catalog too small for size %d", n)
 		}
 		list := full[:n]
-		lane := laneVerdicts(t, ref, list)
+		lane := laneVerdicts(t, ref.Reference, list)
 		for i, f := range list {
 			scalar, err := ref.Detects(f)
 			if err != nil {
@@ -130,7 +130,7 @@ func TestDetectLanePartialLanes(t *testing.T) {
 // fault class (each class exercises a different packing path).
 func TestDetectLaneSingleFault(t *testing.T) {
 	for _, c := range equivalenceConfigs(t) {
-		ref, err := NewReference(c)
+		ref, err := newScalarRef(c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,7 +178,7 @@ func TestDetectLaneCapacity(t *testing.T) {
 // path reports, from the first offending fault in lane order.
 func TestDetectLaneInjectError(t *testing.T) {
 	c := equivalenceConfigs(t)[0]
-	ref, err := NewReference(c)
+	ref, err := newScalarRef(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,26 +247,6 @@ func TestDetectLaneConcurrent(t *testing.T) {
 	}
 }
 
-// Run's default path is lanes; NoLanes and Naive drop to the scalar
-// replays. All three must report byte-identically.
-func TestRunNoLanesMatchesDefault(t *testing.T) {
-	c := equivalenceConfigs(t)[1]
-	list := fullCatalog(c.Words, c.Width)
-	lanes, err := Run(c, list)
-	if err != nil {
-		t.Fatal(err)
-	}
-	noLanes := c
-	noLanes.NoLanes = true
-	scalar, err := Run(noLanes, list)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(lanes, scalar) {
-		t.Errorf("NoLanes report differs:\nlanes:  %+v\nscalar: %+v", lanes, scalar)
-	}
-}
-
 // The lane engine keeps no state between calls: re-running the same
 // chunks must reproduce identical verdict vectors (pooled arenas fully
 // reset).
@@ -286,11 +266,11 @@ func TestDetectLaneRepeat(t *testing.T) {
 	}
 }
 
-// References of one shape share one process-wide pool pair, so an
+// References of one shape share one process-wide lane pool, so an
 // arena one reference checks in is checked out next by a reference
 // with another program, other contents and another seed. Alternating
-// such references on the shared pools, in both modes, must give the
-// verdicts of fresh arenas on the lane and the scalar path alike.
+// such references on the shared pool, in both modes, must give the
+// verdicts of fresh arenas, and those of the scalar oracle.
 func TestSharedArenaPoolsMatchFreshArenas(t *testing.T) {
 	twm, err := core.TWMTA(march.MustLookup("March C-"), 4)
 	if err != nil {
@@ -302,11 +282,11 @@ func TestSharedArenaPoolsMatchFreshArenas(t *testing.T) {
 	}
 	const words, width = 5, 4
 	list := fullCatalog(words, width)
-	var refs []*Reference
+	var refs []*scalarRef
 	for _, mode := range []DetectMode{DirectCompare, Signature} {
 		for i, test := range []*march.Test{twm.TWMarch, s1.Test} {
 			for _, seed := range []int64{int64(i) + 1, int64(i) + 100} {
-				ref, err := NewReference(Campaign{Test: test, Words: words, Width: width, Mode: mode, Seed: seed})
+				ref, err := newScalarRef(Campaign{Test: test, Words: words, Width: width, Mode: mode, Seed: seed})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -315,7 +295,7 @@ func TestSharedArenaPoolsMatchFreshArenas(t *testing.T) {
 		}
 	}
 	for _, r := range refs[1:] {
-		if shared := r.pools == refs[0].pools; shared != (r.mode == refs[0].mode) {
+		if shared := r.pool == refs[0].pool; shared != (r.mode == refs[0].mode) {
 			t.Fatalf("mode %v shares pools with mode %v: %v", r.mode, refs[0].mode, shared)
 		}
 	}
@@ -326,8 +306,8 @@ func TestSharedArenaPoolsMatchFreshArenas(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fresh := *ref
-			fresh.pools = newArenaPools(arenaShape{words: words, width: width, mode: ref.mode})
+			fresh := *ref.Reference
+			fresh.pool = newArenaPool(arenaShape{words: words, width: width, mode: ref.mode})
 			want, err := fresh.DetectLane(chunk)
 			if err != nil {
 				t.Fatal(err)
@@ -341,7 +321,7 @@ func TestSharedArenaPoolsMatchFreshArenas(t *testing.T) {
 					t.Fatal(err)
 				}
 				if det != (want>>uint(j)&1 == 1) {
-					t.Fatalf("ref %d fault %s: scalar on shared pools %v, lanes on fresh arenas %v", k, f, det, !det)
+					t.Fatalf("ref %d fault %s: scalar %v, lanes on fresh arenas %v", k, f, det, !det)
 				}
 			}
 		}

@@ -24,10 +24,6 @@ type Program struct {
 	// test is the compiled test; pred is, in Signature mode, the
 	// compiled prediction test (core.Prediction).
 	test, pred []progElem
-	// testReads and predReads count the read operations per address
-	// of each pass: the fault-free feed stream of a pass over n words
-	// has reads·n entries.
-	testReads, predReads int
 	// polyBits lists the tap positions of the width's MISR polynomial
 	// (Signature mode).
 	polyBits []int
@@ -75,7 +71,7 @@ func Compile(t *march.Test, m DetectMode) (*Program, error) {
 		return nil, err
 	}
 	p := &Program{width: t.Width, mode: m}
-	p.test, p.testReads = compileElems(t)
+	p.test = compileElems(t)
 	switch m {
 	case DirectCompare:
 	case Signature:
@@ -86,7 +82,7 @@ func Compile(t *march.Test, m DetectMode) (*Program, error) {
 		if err := pred.Validate(); err != nil {
 			return nil, err
 		}
-		p.pred, p.predReads = compileElems(pred)
+		p.pred = compileElems(pred)
 		poly, err := misr.LookupPoly(t.Width)
 		if err != nil {
 			return nil, err
@@ -102,16 +98,15 @@ func Compile(t *march.Test, m DetectMode) (*Program, error) {
 	return p, nil
 }
 
-// compileElems resolves a validated test's elements and returns them
-// with the test's reads per address. All ops share one backing array,
-// and so do all lane rows: a program is read by every cell of its key
-// on every core, so it is kept in few, contiguous allocations.
-func compileElems(t *march.Test) ([]progElem, int) {
+// compileElems resolves a validated test's elements. All ops share
+// one backing array, and so do all lane rows: a program is read by
+// every cell of its key on every core, so it is kept in few,
+// contiguous allocations.
+func compileElems(t *march.Test) []progElem {
 	w := t.Width
 	all := make([]progOp, t.Ops())
 	rows := make([]uint64, len(all)*w)
 	out := make([]progElem, len(t.Elements))
-	reads := 0
 	for ei, e := range t.Elements {
 		var ops []progOp
 		ops, all = all[:len(e.Ops):len(e.Ops)], all[len(e.Ops):]
@@ -126,14 +121,11 @@ func compileElems(t *march.Test) ([]progElem, int) {
 			}
 			op.rows, rows = rows[:w:w], rows[w:]
 			memory.BroadcastPlanes(op.rows, []word.Word{d}, w)
-			if o.Kind == march.Read {
-				reads++
-			}
 			ops[oi] = op
 		}
 		out[ei] = progElem{down: e.Order == march.Down, ops: ops}
 	}
-	return out, reads
+	return out
 }
 
 // Bind returns the Reference of the program on a words-word memory
@@ -145,5 +137,5 @@ func (p *Program) Bind(words int, seed int64) (*Reference, error) {
 	if err != nil {
 		return nil, err
 	}
-	return p.bind(mem)
+	return p.bind(mem), nil
 }

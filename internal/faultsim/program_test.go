@@ -138,18 +138,27 @@ func TestBindMatchesNewReference(t *testing.T) {
 			if !reflect.DeepEqual(a, b) {
 				t.Errorf("%s %dx%d %v: bound and fresh references differ", c.Test.Name, cc.Words, cc.Width, c.Mode)
 			}
-			if !reflect.DeepEqual(bound.testFeeds, fresh.testFeeds) || !reflect.DeepEqual(bound.predStates, fresh.predStates) {
+			bs, err := scalarOf(bound)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fs, err := scalarOf(fresh)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(bs.testFeeds, fs.testFeeds) || !reflect.DeepEqual(bs.predStates, fs.predStates) {
 				t.Errorf("%s %dx%d %v: fault-free passes differ", c.Test.Name, cc.Words, cc.Width, c.Mode)
 			}
 		}
 	}
 }
 
-// The Signature-mode fault-free pass is sized up front from the
-// program's reads per address: one feed per read and one state more.
+// The scalar oracle's Signature-mode fault-free pass is sized up front
+// from the program's reads per address: one feed per read and one
+// state more.
 func TestFaultFreePassPresized(t *testing.T) {
 	c := equivalenceConfigs(t)[1]
-	ref, err := NewReference(c)
+	ref, err := newScalarRef(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,8 +167,8 @@ func TestFaultFreePassPresized(t *testing.T) {
 		reads         int
 		feeds, states []word.Word
 	}{
-		{"prediction", ref.prog.predReads, ref.predFeeds, ref.predStates},
-		{"test", ref.prog.testReads, ref.testFeeds, ref.testStates},
+		{"prediction", ref.predReads, ref.predFeeds, ref.predStates},
+		{"test", ref.testReads, ref.testFeeds, ref.testStates},
 	} {
 		n := pass.reads * c.Words
 		if len(pass.feeds) != n || cap(pass.feeds) != n {

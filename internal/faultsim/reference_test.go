@@ -1,6 +1,7 @@
 package faultsim
 
 import (
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -77,7 +78,7 @@ func equivalenceConfigs(t *testing.T) []Campaign {
 func TestFastVsNaiveFullCatalog(t *testing.T) {
 	for _, c := range equivalenceConfigs(t) {
 		list := fullCatalog(c.Words, c.Width)
-		ref, err := NewReference(c)
+		ref, err := newScalarRef(c)
 		if err != nil {
 			t.Fatalf("%s %dx%d %v: %v", c.Test.Name, c.Words, c.Width, c.Mode, err)
 		}
@@ -126,7 +127,7 @@ func TestRunFastMatchesNaiveReport(t *testing.T) {
 func TestReferenceRunTwice(t *testing.T) {
 	c := equivalenceConfigs(t)[1] // signature mode exercises the MISR resume
 	list := fullCatalog(c.Words, c.Width)
-	ref, err := NewReference(c)
+	ref, err := newScalarRef(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +150,7 @@ func TestReferenceRunTwice(t *testing.T) {
 func TestReferenceConcurrentDetects(t *testing.T) {
 	c := equivalenceConfigs(t)[2]
 	list := fullCatalog(c.Words, c.Width)
-	ref, err := NewReference(c)
+	ref, err := newScalarRef(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +230,7 @@ func TestReferenceFixedInitial(t *testing.T) {
 	}
 	initial := []word.Word{word.FromUint64(0xa), word.FromUint64(0x5), word.FromUint64(0xf)}
 	c := Campaign{Test: res.TWMarch, Words: 3, Width: 4, Mode: Signature, Initial: initial}
-	ref, err := NewReference(c)
+	ref, err := newScalarRef(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +282,7 @@ func TestReferenceInjectError(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := Campaign{Test: res.TWMarch, Words: 3, Width: 4, Mode: DirectCompare, Seed: 1}
-	ref, err := NewReference(c)
+	ref, err := newScalarRef(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,5 +292,79 @@ func TestReferenceInjectError(t *testing.T) {
 	}
 	if _, err := Detects(c, bad); err == nil {
 		t.Error("naive path accepted an out-of-range fault")
+	}
+}
+
+// pointers returns a copy of list with each fault replaced by a
+// pointer to a copy of it.
+func pointers(list []faults.Fault) []faults.Fault {
+	out := make([]faults.Fault, len(list))
+	for i, f := range list {
+		p := reflect.New(reflect.TypeOf(f))
+		p.Elem().Set(reflect.ValueOf(f))
+		out[i] = p.Interface().(faults.Fault)
+	}
+	return out
+}
+
+// sameReport reports whether two Reports agree, Missed compared by
+// fault name so a pointer and its value count as the same fault.
+func sameReport(a, b *Report) bool {
+	return a.Total == b.Total && a.Detected == b.Detected && reflect.DeepEqual(a.ByClass, b.ByClass) &&
+		fmt.Sprint(a.Missed) == fmt.Sprint(b.Missed)
+}
+
+// A pointer to a fault is the fault: a pointer copy of a population
+// gets the Report of its values on the lanes and on the naive path, in
+// both modes, and an out-of-range pointer gets its value's error.
+func TestPointerFaultsMatchValues(t *testing.T) {
+	twm, err := core.TWMTA(march.MustLookup("March C-"), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	values := faults.EnumerateAll(3, 4)
+	for _, tc := range []struct {
+		mode     DetectMode
+		detected int
+	}{{DirectCompare, 1272}, {Signature, 1259}} {
+		for _, naive := range []bool{false, true} {
+			c := Campaign{Test: twm.TWMarch, Words: 3, Width: 4, Mode: tc.mode, Seed: 5, Naive: naive}
+			want, err := Run(c, values)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := Run(c, pointers(values))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Total != 1368 || got.Detected != tc.detected || !sameReport(got, want) {
+				t.Errorf("%v naive=%v: pointers %d/%d, values %d/%d", tc.mode, naive, got.Detected, got.Total, want.Detected, want.Total)
+			}
+			bad := faults.StuckAt{Cell: faults.Site{Addr: 99}}
+			_, verr := Run(c, []faults.Fault{bad})
+			_, perr := Run(c, []faults.Fault{&bad})
+			if verr == nil || perr == nil || perr.Error() != verr.Error() {
+				t.Errorf("%v naive=%v: pointer error %v, value error %v", tc.mode, naive, perr, verr)
+			}
+		}
+	}
+	// Every fault type, on the lanes.
+	for _, c := range equivalenceConfigs(t) {
+		ref, err := NewReference(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		list := fullCatalog(c.Words, c.Width)
+		want, err := ref.RunLanes(list)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := ref.RunLanes(pointers(list))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameReport(got, want) {
+			t.Errorf("%s %dx%d %v: pointer and value reports differ", c.Test.Name, c.Words, c.Width, c.Mode)
+		}
 	}
 }

@@ -270,3 +270,20 @@ func TestLargeMemorySmoke(t *testing.T) {
 		t.Fatalf("ops = %d", out.Ops)
 	}
 }
+
+// A pointer to a fault is the fault: Coverage reports an out-of-range
+// pointer with its value's error instead of panicking.
+func TestFacadeCoveragePointerFault(t *testing.T) {
+	bm, _ := twmarch.Lookup("March C-")
+	res, err := twmarch.Transform(bm, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := twmarch.StuckAt{Cell: twmarch.Site{Addr: 99}}
+	_, verr := twmarch.Coverage(res.TWMarch, 3, []twmarch.Fault{bad}, 1)
+	_, perr := twmarch.Coverage(res.TWMarch, 3, []twmarch.Fault{&bad}, 1)
+	const want = "faultsim: SAF0@99.0: faults: SAF0@99.0: address 99 out of range [0,3)"
+	if verr == nil || verr.Error() != want || perr == nil || perr.Error() != want {
+		t.Errorf("value error %v, pointer error %v; want %q", verr, perr, want)
+	}
+}
